@@ -1,8 +1,14 @@
-"""Single-instance verifiers for the inequalities behind the induced metrics.
+"""Verifiers for the inequalities behind the induced metrics.
 
-Each function evaluates both sides of one inequality (or identity) on concrete
-inputs and returns signed defects: a nonnegative defect means the inequality
-held, so fuzz campaigns only have to watch for values below -tolerance.
+Each inequality (or identity) has one batched kernel here, over rows of pair
+weights (count, n(n-1)/2) and states (count, n): ``_triangle_rows`` (on top
+of ``metric._dp_rows``), ``_minorial_rows``, ``_convexity_rows``,
+``_w1_rows`` and ``_projector_rows``.  The public verifiers gate their inputs
+and run the kernel on one row; ``fuzz`` runs the same kernel on whole chunks,
+so a witness is re-evaluated by the code that found it.  Defects are signed:
+a nonnegative defect means the inequality held, so fuzz campaigns only have
+to watch for values below -tolerance.  The orthonormal-reduction pipeline is
+still evaluated one triple at a time.
 """
 
 from __future__ import annotations
@@ -15,23 +21,28 @@ import numpy as np
 from .exterior import (
     ORTHO_INPUT_TOL,
     Bivector,
+    _minors3,
+    _vector,
+    _wedge_bv_coeffs,
     gram_deviation,
-    hodge_basis,
     gram_schmidt,
+    hodge_basis,
+    minors2,
     pair_indices,
     pair_positions,
     triple_indices,
     wedge2,
-    wedge3,
-    wedge_bv,
 )
 from .metric import (
     DistanceMatrix,
+    _dp_inputs,
+    _dp_rows,
+    _unit_pair,
     apply_pair_weights,
     dp_from_weights,
     restricted_form_eigen,
 )
-from .sampling import trial_rng
+from .sampling import _orthonormalize_triples, trial_rng
 
 __all__ = [
     "CONVEXITY_SHAPES",
@@ -65,22 +76,17 @@ class ProjectorDefects(NamedTuple):
 
 
 def ensure_orthonormal_triple(x, y, z, *, tol: float = ORTHO_INPUT_TOL):
-    """Gate a triple on orthonormality, then apply one re-orthogonalization pass.
+    """Gate a triple on orthonormality, then polish it by re-orthogonalization.
 
     Inputs beyond ``tol`` Gram deviation are rejected rather than repaired;
-    accepted inputs get ~1e-16 polish so downstream checks see exact
-    hypotheses.
+    accepted inputs get ~1e-16 polish from the samplers' batched Gram-Schmidt
+    so downstream checks see exact hypotheses.
     """
     vs = [np.asarray(v, dtype=complex) for v in (x, y, z)]
     if gram_deviation(vs) > tol:
         raise ValueError("triple is not orthonormal")
-    u = vs[0] / np.linalg.norm(vs[0])
-    v = vs[1] - np.vdot(u, vs[1]) * u
-    v = v / np.linalg.norm(v)
-    w = vs[2] - np.vdot(u, vs[2]) * u
-    w = w - np.vdot(v, w) * v
-    w = w / np.linalg.norm(w)
-    return u, v, w
+    u, v, w, _ = _orthonormalize_triples(*(a[None] for a in vs))
+    return u[0], v[0], w[0]
 
 
 def check_symmetric_weights(a) -> np.ndarray:
@@ -96,16 +102,88 @@ def check_symmetric_weights(a) -> np.ndarray:
     return w
 
 
-def _pair_sum(a: np.ndarray, x, y) -> float:
+def _weighted_triple(a, x, y, z):
+    """Gates shared by the weighted-triple verifiers; returns kernel-ready single rows."""
+    w = check_symmetric_weights(a)
+    x, y, z = ensure_orthonormal_triple(x, y, z)
+    if w.shape[0] != x.size:
+        raise ValueError("weight matrix does not match the state dimension")
     i, j = pair_indices(x.size)
-    b = wedge2(x, y)
-    return float(np.sum(a[i, j] * (b.coeffs.real**2 + b.coeffs.imag**2)))
+    return w[i, j][None], x[None], y[None], z[None]
 
 
-def _triple_weight_sums(a: np.ndarray, n: int):
-    ti, tj, tk, _, _, _ = triple_indices(n)
-    stacked = np.stack([a[ti, tj], a[ti, tk], a[tj, tk]])
-    return stacked.min(axis=0), stacked.max(axis=0), stacked.sum(axis=0), stacked
+def _sq(m: np.ndarray) -> np.ndarray:
+    return m.real**2 + m.imag**2
+
+
+def _pair_sum(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair-weighted squared 2x2-minor sums of the rows of x and y."""
+    i, j = pair_indices(x.shape[-1])
+    return (a * _sq(minors2(x, y, i, j))).sum(axis=-1)
+
+
+def _weight_triples(a: np.ndarray, n: int) -> np.ndarray:
+    """Weights (a_ij, a_ik, a_jk) of every triple i < j < k, stacked on axis 0."""
+    _, _, _, pij, pik, pjk = triple_indices(n)
+    return np.stack([a[..., pij], a[..., pik], a[..., pjk]])
+
+
+def _fvalue(fname: str, u: np.ndarray, p: float | None = None) -> np.ndarray:
+    """Shape f of the three values stacked on axis 0 of u."""
+    if fname == "max":
+        return u.max(axis=0)
+    if fname == "min":
+        return u.min(axis=0)
+    if fname == "sum":
+        return u.sum(axis=0)
+    return (u ** (1.0 / p)).sum(axis=0) ** p
+
+
+def _triangle_rows(wts: np.ndarray, p: float, x, y, z):
+    """Triangle kernel: (sum - 2 max, max, the distances d_xy, d_xz, d_yz on axis 0)."""
+    d = np.stack([_dp_rows(wts, p, x, y), _dp_rows(wts, p, x, z), _dp_rows(wts, p, y, z)])
+    dmax = d.max(axis=0)
+    return d[0] + d[1] + d[2] - 2.0 * dmax, dmax, d
+
+
+def _minorial_rows(a: np.ndarray, x, y, z):
+    """Minorial kernel: (middle - lower bound, upper bound - middle)."""
+    mid = _pair_sum(a, x, y)
+    pt = _sq(_minors3(x, y, z))
+    stacked = _weight_triples(a, x.shape[-1])
+    return mid - (_fvalue("min", stacked) * pt).sum(axis=-1), (_fvalue("max", stacked) * pt).sum(axis=-1) - mid
+
+
+def _convexity_rows(fnames, a: np.ndarray, x, y, z, p: float | None):
+    """Convexity kernel: one row of signed defects per shape in ``fnames``."""
+    g = np.stack([_pair_sum(a, x, y), _pair_sum(a, x, z), _pair_sum(a, y, z)])
+    pt = _sq(_minors3(x, y, z))
+    stacked = _weight_triples(a, x.shape[-1])
+    out = []
+    for fname in fnames:
+        avg = (_fvalue(fname, stacked, p) * pt).sum(axis=-1)
+        fg = _fvalue(fname, g, p)
+        out.append(avg - fg if fname == "max" else fg - avg)
+    return np.stack(out)
+
+
+def _w1_rows(a: np.ndarray, x, y, z):
+    """Generator-identity kernel: (lhs, rhs, relative residual)."""
+    lhs = _pair_sum(a, x, y) + _pair_sum(a, x, z) + _pair_sum(a, y, z)
+    rhs = (_fvalue("sum", _weight_triples(a, x.shape[-1])) * _sq(_minors3(x, y, z))).sum(axis=-1)
+    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return lhs, rhs, np.abs(lhs - rhs) / denom
+
+
+def _projector_rows(b: np.ndarray, v: np.ndarray, mask: np.ndarray):
+    """Masked-projector kernel over bivector rows b and pair masks: (outer, inner)."""
+    _, _, _, pij, pik, pjk = triple_indices(v.shape[-1])
+    qmask = mask[..., pij] & mask[..., pik] & mask[..., pjk]
+    q_sq = np.where(qmask, _sq(_wedge_bv_coeffs(b, v)), 0.0).sum(axis=-1)
+    pb = np.where(mask, b, 0.0)
+    outer = _sq(pb).sum(axis=-1) * _sq(v).sum(axis=-1) - q_sq
+    inner = _sq(_wedge_bv_coeffs(pb, v)).sum(axis=-1) - q_sq
+    return outer, inner
 
 
 def check_minorial(a, x, y, z) -> MinorialDefects:
@@ -115,27 +193,22 @@ def check_minorial(a, x, y, z) -> MinorialDefects:
     pair-weighted minor sum of (x, y) sits between the min-weighted and
     max-weighted squared 3x3 minors; returns (middle - lower, upper - middle).
     """
-    w = check_symmetric_weights(a)
-    x, y, z = ensure_orthonormal_triple(x, y, z)
-    if w.shape[0] != x.size:
-        raise ValueError("weight matrix does not match the state dimension")
-    mid = _pair_sum(w, x, y)
-    t = wedge3(x, y, z)
-    pt = t.coeffs.real**2 + t.coeffs.imag**2
-    amin, amax, _, _ = _triple_weight_sums(w, x.size)
-    return MinorialDefects(mid - float(np.sum(amin * pt)), float(np.sum(amax * pt)) - mid)
+    lower, upper = _minorial_rows(*_weighted_triple(a, x, y, z))
+    return MinorialDefects(float(lower[0]), float(upper[0]))
 
 
-def _normalize_pairs(s, n: int):
-    pairs = []
+def _pair_mask(s, n: int) -> np.ndarray:
+    """Boolean mask over the lexicographic pairs listed (in either order) in ``s``."""
+    mask = np.zeros(n * (n - 1) // 2, dtype=bool)
+    pos = pair_positions(n)
     for pr in s:
         i, j = int(pr[0]), int(pr[1])
         if i == j:
             raise ValueError(f"pair ({i},{j}) repeats an index")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"pair ({i},{j}) is out of range for dimension {n}")
-        pairs.append((min(i, j), max(i, j)))
-    return sorted(set(pairs))
+        mask[pos[i, j]] = True
+    return mask
 
 
 def check_projector_inequality(s, b: Bivector, v) -> ProjectorDefects:
@@ -146,42 +219,17 @@ def check_projector_inequality(s, b: Bivector, v) -> ProjectorDefects:
     (also non-simple) bivectors B; returns both gaps.
     """
     n = b.n
-    vv = np.asarray(v, dtype=complex)
+    vv = _vector(v)
     if vv.size != n:
         raise ValueError(f"dimension mismatch: {n} vs {vv.size}")
-    pairs = _normalize_pairs(s, n)
-    pos = pair_positions(n)
-    mask = np.zeros(n * (n - 1) // 2, dtype=bool)
-    for i, j in pairs:
-        mask[pos[i, j]] = True
-
-    pb = Bivector(n, np.where(mask, b.coeffs, 0.0))
-    t_full = wedge_bv(b, vv)
-    _, _, _, pij, pik, pjk = triple_indices(n)
-    qmask = mask[pij] & mask[pik] & mask[pjk]
-    q_normsq = float(np.sum(np.where(qmask, np.abs(t_full.coeffs) ** 2, 0.0)))
-    pb_wedge = wedge_bv(pb, vv)
-    vnormsq = float(np.linalg.norm(vv) ** 2)
-    return ProjectorDefects(
-        pb.norm_sq() * vnormsq - q_normsq,
-        pb_wedge.norm_sq() - q_normsq,
-    )
+    mask = _pair_mask(s, n)
+    if n < 3:
+        raise ValueError("wedge_bv needs dimension >= 3")
+    outer, inner = _projector_rows(b.coeffs[None], vv[None], mask[None])
+    return ProjectorDefects(float(outer[0]), float(inner[0]))
 
 
-# fname -> (is_convex, evaluator on stacked weight triples / on the 3-vector g)
 CONVEXITY_SHAPES = ("max", "min", "sum", "powersum")
-
-
-def _fvalue(fname: str, u: np.ndarray, p: float | None) -> np.ndarray:
-    if fname == "max":
-        return u.max(axis=0)
-    if fname == "min":
-        return u.min(axis=0)
-    if fname == "sum":
-        return u.sum(axis=0)
-    if fname == "powersum":
-        return (u ** (1.0 / p)).sum(axis=0) ** p
-    raise ValueError(f"unknown fname {fname!r}; expected one of {CONVEXITY_SHAPES}")
 
 
 def check_convexity(fname: str, a, x, y, z, p: float | None = None) -> float:
@@ -199,47 +247,24 @@ def check_convexity(fname: str, a, x, y, z, p: float | None = None) -> float:
             raise ValueError("powersum needs the exponent p")
         if p < 2:
             raise ValueError("powersum is used in its concave regime, p >= 2")
-    w = check_symmetric_weights(a)
-    x, y, z = ensure_orthonormal_triple(x, y, z)
-    if w.shape[0] != x.size:
-        raise ValueError("weight matrix does not match the state dimension")
-
-    g = np.array([_pair_sum(w, x, y), _pair_sum(w, x, z), _pair_sum(w, y, z)])
-    t = wedge3(x, y, z)
-    pt = t.coeffs.real**2 + t.coeffs.imag**2
-    _, _, _, stacked = _triple_weight_sums(w, x.size)
-    avg = float(np.sum(_fvalue(fname, stacked, p) * pt))
-    fg = float(_fvalue(fname, g.reshape(3, 1), p)[0])
-    if fname == "max":
-        return avg - fg
-    return fg - avg
+    return float(_convexity_rows((fname,), *_weighted_triple(a, x, y, z), p)[0, 0])
 
 
 def check_generator_identity_w1(a, x, y, z) -> float:
     """Relative residual of the exact identity: the three pair-weighted minor
     sums add up to the (a_ij + a_ik + a_jk)-weighted squared 3x3 minors."""
-    w = check_symmetric_weights(a)
-    x, y, z = ensure_orthonormal_triple(x, y, z)
-    if w.shape[0] != x.size:
-        raise ValueError("weight matrix does not match the state dimension")
-    lhs = _pair_sum(w, x, y) + _pair_sum(w, x, z) + _pair_sum(w, y, z)
-    t = wedge3(x, y, z)
-    pt = t.coeffs.real**2 + t.coeffs.imag**2
-    _, _, asum, _ = _triple_weight_sums(w, x.size)
-    rhs = float(np.sum(asum * pt))
-    denom = max(abs(lhs), abs(rhs))
-    return 0.0 if denom == 0.0 else abs(lhs - rhs) / denom
+    _, _, residual = _w1_rows(*_weighted_triple(a, x, y, z))
+    return float(residual[0])
 
 
 def triangle_defect(entries, p: float, x, y, z) -> tuple[float, float]:
     """Signed triangle slack for one triple: (sum - 2 max of the three
     distances, the largest distance).  The first value is the minimum over
     the three cyclic defects."""
-    dxy = dp_from_weights(entries, p, x, y)
-    dxz = dp_from_weights(entries, p, x, z)
-    dyz = dp_from_weights(entries, p, y, z)
-    dmax = max(dxy, dxz, dyz)
-    return dxy + dxz + dyz - 2.0 * dmax, dmax
+    wts, xv, yv = _dp_inputs(entries, p, x, y)
+    _, zv = _unit_pair(x, z)
+    slack, dmax, _ = _triangle_rows(wts, p, xv[None], yv[None], zv[None])
+    return float(slack[0]), float(dmax[0])
 
 
 @dataclass(frozen=True)

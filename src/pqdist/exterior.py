@@ -6,6 +6,11 @@ coefficient attached to a wedge of vectors is the corresponding 2x2 or 3x3
 minor of the stacked component matrix.  With this convention the squared
 coefficient sums obey the Lagrange identity and, for orthonormal families,
 the Cauchy-Binet normalization (the squared minors sum to 1).
+
+``minors2``, ``_minors3`` (behind ``wedge3``), ``_wedge_bv_coeffs`` (behind
+``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, so
+one vector and a (count, n) stack of rows share one formula; the batched
+kernels in ``checks`` and ``optimize`` call them directly.
 """
 
 from __future__ import annotations
@@ -155,17 +160,19 @@ def inner(x, y) -> complex:
 
 
 def minors2(x: np.ndarray, y: np.ndarray, i, j) -> np.ndarray:
-    """2x2 minors x_i y_j - x_j y_i over the index arrays (i, j).
+    """2x2 minors x_i y_j - x_j y_i over the index arrays (i, j) of the last axis.
 
-    Evaluated from standalone real-part products so that swapping x and y
-    negates every coefficient *bitwise* (complex a*b is not bit-commutative
-    under FMA contraction); in particular minors2(x, x, ...) is exactly zero.
+    Written as x_i y_j - y_i x_j so that swapping x and y swaps the two
+    products operand for operand: the result negates *bitwise* (complex a*b is
+    not bit-commutative under FMA contraction, but IEEE a - b is exactly
+    -(b - a)); in particular minors2(x, x, ...) is exactly zero.  Each operand
+    is gathered once: every fancy-index gather releases the GIL, and on small
+    arrays each release hands it to the other campaign thread.
     """
-    xr, xi = x.real, x.imag
-    yr, yi = y.real, y.imag
-    re = (xr[i] * yr[j] - xr[j] * yr[i]) - (xi[i] * yi[j] - xi[j] * yi[i])
-    im = (xr[i] * yi[j] + xi[i] * yr[j]) - (xr[j] * yi[i] + xi[j] * yr[i])
-    return re + 1j * im
+    k = len(i)
+    ij = np.concatenate([i, j])
+    xg, yg = x[..., ij], y[..., ij]
+    return xg[..., :k] * yg[..., k:] - yg[..., :k] * xg[..., k:]
 
 
 def wedge2(x, y) -> Bivector:
@@ -181,19 +188,21 @@ def wedge2(x, y) -> Bivector:
 def wedge3(x, y, z) -> Trivector:
     """Wedge of three vectors: coefficients are the 3x3 minors of the stacked rows."""
     xv, yv = _pair_of_vectors(x, y)
-    zv = _vector(z)
-    if zv.size != xv.size:
-        raise ValueError(f"dimension mismatch: {xv.size} vs {zv.size}")
+    _, zv = _pair_of_vectors(xv, z)
     n = xv.size
     if n < 3:
         raise ValueError("wedge3 needs dimension >= 3")
-    ti, tj, tk, _, _, _ = triple_indices(n)
-    t = (
-        xv[ti] * (yv[tj] * zv[tk] - yv[tk] * zv[tj])
-        - xv[tj] * (yv[ti] * zv[tk] - yv[tk] * zv[ti])
-        + xv[tk] * (yv[ti] * zv[tj] - yv[tj] * zv[ti])
+    return Trivector(n, _minors3(xv, yv, zv))
+
+
+def _minors3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """3x3 minors of the rows (x, y, z) over the triples of the last axis."""
+    ti, tj, tk, _, _, _ = triple_indices(x.shape[-1])
+    return (
+        x[..., ti] * (y[..., tj] * z[..., tk] - y[..., tk] * z[..., tj])
+        - x[..., tj] * (y[..., ti] * z[..., tk] - y[..., tk] * z[..., ti])
+        + x[..., tk] * (y[..., ti] * z[..., tj] - y[..., tj] * z[..., ti])
     )
-    return Trivector(n, t)
 
 
 def wedge_bv(b: Bivector, v) -> Trivector:
@@ -206,9 +215,13 @@ def wedge_bv(b: Bivector, v) -> Trivector:
         raise ValueError(f"dimension mismatch: {b.n} vs {vv.size}")
     if b.n < 3:
         raise ValueError("wedge_bv needs dimension >= 3")
-    ti, tj, tk, pij, pik, pjk = triple_indices(b.n)
-    c = b.coeffs
-    return Trivector(b.n, c[pij] * vv[tk] - c[pik] * vv[tj] + c[pjk] * vv[ti])
+    return Trivector(b.n, _wedge_bv_coeffs(b.coeffs, vv))
+
+
+def _wedge_bv_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Trivector coefficients of B ^ v from bivector coefficients c over the last axis."""
+    ti, tj, tk, pij, pik, pjk = triple_indices(v.shape[-1])
+    return c[..., pij] * v[..., tk] - c[..., pik] * v[..., tj] + c[..., pjk] * v[..., ti]
 
 
 def cross3(x, y) -> np.ndarray:
@@ -216,12 +229,18 @@ def cross3(x, y) -> np.ndarray:
     xv, yv = _pair_of_vectors(x, y)
     if xv.size != 3:
         raise ValueError("cross3 is defined on C^3 only")
-    return np.array(
+    return _cross(xv, yv)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis of length 3."""
+    return np.stack(
         [
-            xv[1] * yv[2] - xv[2] * yv[1],
-            xv[2] * yv[0] - xv[0] * yv[2],
-            xv[0] * yv[1] - xv[1] * yv[0],
-        ]
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
     )
 
 

@@ -6,6 +6,11 @@ bit-reproducible for a fixed seed regardless of how many worker threads run
 the chunks.  Aggregation keeps the violation count and the worst defect with
 the smallest trial index, both of which are order-independent reductions.
 
+Each chunk runs sample -> kernel -> reduce and witness.  The kernels are the
+batched ones in ``checks`` that the scalar verifiers also run, so
+``reevaluate_witness`` re-checks a witness with the code that found it;
+only the reduction property still loops over its trials.
+
 Defect conventions per property (nonnegative means the property held):
 
 * triangle   (sum of the three distances - twice the largest) / max(1, largest)
@@ -29,6 +34,11 @@ from ._version import __version__
 from .checks import (
     HODGE_RESIDUAL_TOL,
     MU_CONSISTENCY_TOL,
+    _convexity_rows,
+    _minorial_rows,
+    _projector_rows,
+    _triangle_rows,
+    _w1_rows,
     check_convexity,
     check_generator_identity_w1,
     check_minorial,
@@ -36,11 +46,12 @@ from .checks import (
     check_projector_inequality,
     triangle_defect,
 )
-from .exterior import Bivector, pair_indices, triple_indices
+from .exterior import Bivector, pair_indices
 from .metric import DistanceMatrix
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
+    _symmetric_from_pairs,
     distance_matrices_batch,
     pair_weights_batch,
     states_batch,
@@ -175,14 +186,6 @@ def _m2l(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _weights_full(w_pairs: np.ndarray, n: int) -> np.ndarray:
-    i, j = pair_indices(n)
-    full = np.zeros((n, n))
-    full[i, j] = w_pairs
-    full[j, i] = w_pairs
-    return full
-
-
 @dataclass
 class _ChunkOutcome:
     violations: int
@@ -191,38 +194,34 @@ class _ChunkOutcome:
     witness: dict = field(default_factory=dict)
 
 
-def _pick_worst(defects: np.ndarray, chunk: int) -> tuple[int, float, int]:
+def _worst(cfg: TrialConfig, chunk: int, defects: np.ndarray) -> tuple[int, int, float, int]:
+    """(violations, local index, defect, trial index) of the chunk's worst row."""
+    violations = int(np.count_nonzero(defects < -cfg.tolerance))
     local = int(np.argmin(defects))
-    return local, float(defects[local]), chunk * CHUNK_TRIALS + local
+    return violations, local, float(defects[local]), chunk * CHUNK_TRIALS + local
 
 
-def _minors(a: np.ndarray, b: np.ndarray, pi, pj) -> np.ndarray:
-    return a[:, pi] * b[:, pj] - a[:, pj] * b[:, pi]
-
-
-def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
+    """Distance matrices (drawn, or the user's broadcast) and three state rows."""
     rng = trial_rng(cfg.seed, chunk)
-    n, p = cfg.n, cfg.p
+    n = cfg.n
     if entries is None:
         mats = distance_matrices_batch(rng, count, n, cfg.matrix_mode)
     else:
         mats = np.broadcast_to(entries, (count, n, n))
-    x = states_batch(rng, count, n)
-    y = states_batch(rng, count, n)
-    z = states_batch(rng, count, n)
+    x, y, z = (states_batch(rng, count, n) for _ in range(3))
+    return mats, x, y, z
 
+
+def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+    n, p = cfg.n, cfg.p
+    mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     pi, pj = pair_indices(n)
     wts = mats[:, pi, pj] ** p
 
-    def dists(a, b):
-        m = _minors(a, b, pi, pj)
-        s = (wts * (m.real**2 + m.imag**2)).sum(axis=1)
-        return np.maximum(s, 0.0) ** (1.0 / p)
-
     def norm_defect(a, b, c):
-        d1, d2, d3 = dists(a, b), dists(a, c), dists(b, c)
-        dmax = np.maximum(np.maximum(d1, d2), d3)
-        return (d1 + d2 + d3 - 2.0 * dmax) / np.maximum(1.0, dmax), (d1, d2, d3)
+        slack, dmax, d = _triangle_rows(wts, p, a, b, c)
+        return slack / np.maximum(1.0, dmax), d
 
     defect, raw_d = norm_defect(x, y, z)
     variant_ortho = np.zeros(count, dtype=bool)
@@ -233,26 +232,21 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         variant_ortho = defect_o < defect
         defect = np.minimum(defect, defect_o)
 
-    violations = int(np.count_nonzero(defect < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defect, chunk)
+    violations, local, worst, trial = _worst(cfg, chunk, defect)
     if variant_ortho[local]:
-        triple = (u[local], v[local], w[local])
-        dvals = tuple(float(d[local]) for d in ortho_d)
-        variant = "orthonormal"
+        rows, dists, variant = (u, v, w), ortho_d, "orthonormal"
     else:
-        triple = (x[local], y[local], z[local])
-        dvals = tuple(float(d[local]) for d in raw_d)
-        variant = "raw"
+        rows, dists, variant = (x, y, z), raw_d, "raw"
     witness = {
         "trial": trial,
         "variant": variant,
         "n": n,
         "p": float(p),
         "matrix": _m2l(mats[local]),
-        "x": _c2l(triple[0]),
-        "y": _c2l(triple[1]),
-        "z": _c2l(triple[2]),
-        "distances": list(dvals),
+        "x": _c2l(rows[0][local]),
+        "y": _c2l(rows[1][local]),
+        "z": _c2l(rows[2][local]),
+        "distances": [float(d) for d in dists[:, local]],
         "defect": worst,
     }
     return _ChunkOutcome(violations, worst, trial, witness)
@@ -260,44 +254,17 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
 
 def _ortho_weight_batch(cfg: TrialConfig, chunk: int, count: int):
     rng = trial_rng(cfg.seed, chunk)
-    u, v, w, ok = (
-        states_batch(rng, count, cfg.n),
-        states_batch(rng, count, cfg.n),
-        states_batch(rng, count, cfg.n),
-        None,
-    )
-    u, v, w, ok = _orthonormalize_triples(u, v, w)
+    u, v, w, ok = _orthonormalize_triples(*(states_batch(rng, count, cfg.n) for _ in range(3)))
     mode = "zero-one" if cfg.matrix_mode == "zero-one" else "uniform"
     a = pair_weights_batch(rng, count, cfg.n, mode)
     return u, v, w, ok, a
 
 
-def _gathered_weight_sums(a: np.ndarray, n: int):
-    _, _, _, pij, pik, pjk = triple_indices(n)
-    stacked = np.stack([a[:, pij], a[:, pik], a[:, pjk]])
-    return stacked.min(axis=0), stacked.max(axis=0), stacked.sum(axis=0)
-
-
-def _minor_data(u, v, w, n):
-    pi, pj = pair_indices(n)
-    ti, tj, tk, _, _, _ = triple_indices(n)
-    m_uv = _minors(u, v, pi, pj)
-    m_uw = _minors(u, w, pi, pj)
-    m_vw = _minors(v, w, pi, pj)
-    t = (
-        u[:, ti] * (v[:, tj] * w[:, tk] - v[:, tk] * w[:, tj])
-        - u[:, tj] * (v[:, ti] * w[:, tk] - v[:, tk] * w[:, ti])
-        + u[:, tk] * (v[:, ti] * w[:, tj] - v[:, tj] * w[:, ti])
-    )
-    sq = lambda m: m.real**2 + m.imag**2
-    return sq(m_uv), sq(m_uw), sq(m_vw), sq(t)
-
-
-def _witness_triple(cfg, a_full, u, v, w, local, trial, extra) -> dict:
+def _witness_triple(cfg, a, u, v, w, local, trial, extra) -> dict:
     return {
         "trial": trial,
         "n": cfg.n,
-        "weights": _m2l(a_full),
+        "weights": _m2l(_symmetric_from_pairs(a[local], cfg.n)),
         "x": _c2l(u[local]),
         "y": _c2l(v[local]),
         "z": _c2l(w[local]),
@@ -307,79 +274,31 @@ def _witness_triple(cfg, a_full, u, v, w, local, trial, extra) -> dict:
 
 def _chunk_minorial(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    q_uv, _, _, pt = _minor_data(u, v, w, cfg.n)
-    mid = (a * q_uv).sum(axis=1)
-    amin, amax, _ = _gathered_weight_sums(a, cfg.n)
-    lower = mid - (amin * pt).sum(axis=1)
-    upper = (amax * pt).sum(axis=1) - mid
-    defect = np.where(ok, np.minimum(lower, upper), np.inf)
-    violations = int(np.count_nonzero(defect < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defect, chunk)
-    witness = _witness_triple(
-        cfg,
-        _weights_full(a[local], cfg.n),
-        u,
-        v,
-        w,
-        local,
-        trial,
-        {"lower": float(lower[local]), "upper": float(upper[local]), "defect": worst},
-    )
-    return _ChunkOutcome(violations, worst, trial, witness)
+    lower, upper = _minorial_rows(a, u, v, w)
+    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, np.minimum(lower, upper), np.inf))
+    extra = {"lower": float(lower[local]), "upper": float(upper[local]), "defect": worst}
+    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
+
+
+# Shapes fuzzed by the convexity campaign; "sum" is the w1 identity.
+_FUZZ_SHAPES = ("max", "min", "powersum")
 
 
 def _chunk_convexity(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    q_uv, q_uw, q_vw, pt = _minor_data(u, v, w, cfg.n)
-    g = np.stack([(a * q_uv).sum(axis=1), (a * q_uw).sum(axis=1), (a * q_vw).sum(axis=1)])
-    amin, amax, _ = _gathered_weight_sums(a, cfg.n)
-    d_max = (amax * pt).sum(axis=1) - g.max(axis=0)
-    d_min = g.min(axis=0) - (amin * pt).sum(axis=1)
-    _, _, _, pij, pik, pjk = triple_indices(cfg.n)
-    inv_p = 1.0 / cfg.p
-    pow_t = (a[:, pij] ** inv_p + a[:, pik] ** inv_p + a[:, pjk] ** inv_p) ** cfg.p
-    d_pow = (g**inv_p).sum(axis=0) ** cfg.p - (pow_t * pt).sum(axis=1)
-    stacked = np.stack([d_max, d_min, d_pow])
-    which = stacked.argmin(axis=0)
-    defect = np.where(ok, stacked.min(axis=0), np.inf)
-    violations = int(np.count_nonzero(defect < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defect, chunk)
-    fname = ("max", "min", "powersum")[int(which[local])]
-    witness = _witness_triple(
-        cfg,
-        _weights_full(a[local], cfg.n),
-        u,
-        v,
-        w,
-        local,
-        trial,
-        {"fname": fname, "p": float(cfg.p), "defect": worst},
-    )
-    return _ChunkOutcome(violations, worst, trial, witness)
+    stacked = _convexity_rows(_FUZZ_SHAPES, a, u, v, w, cfg.p)
+    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, stacked.min(axis=0), np.inf))
+    fname = _FUZZ_SHAPES[int(stacked[:, local].argmin())]
+    extra = {"fname": fname, "p": float(cfg.p), "defect": worst}
+    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
 
 
 def _chunk_w1(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    q_uv, q_uw, q_vw, pt = _minor_data(u, v, w, cfg.n)
-    lhs = (a * q_uv).sum(axis=1) + (a * q_uw).sum(axis=1) + (a * q_vw).sum(axis=1)
-    _, _, asum = _gathered_weight_sums(a, cfg.n)
-    rhs = (asum * pt).sum(axis=1)
-    denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    residual = np.abs(lhs - rhs) / denom
-    defect = np.where(ok, -residual, np.inf)
-    violations = int(np.count_nonzero(defect < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defect, chunk)
-    witness = _witness_triple(
-        cfg,
-        _weights_full(a[local], cfg.n),
-        u,
-        v,
-        w,
-        local,
-        trial,
-        {"lhs": float(lhs[local]), "rhs": float(rhs[local]), "residual": float(residual[local]), "defect": worst},
-    )
-    return _ChunkOutcome(violations, worst, trial, witness)
+    lhs, rhs, residual = _w1_rows(a, u, v, w)
+    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, -residual, np.inf))
+    extra = {"lhs": float(lhs[local]), "rhs": float(rhs[local]), "residual": float(residual[local]), "defect": worst}
+    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
 
 
 def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
@@ -390,26 +309,13 @@ def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     v = states_batch(rng, count, n)
     mask = rng.random((count, npairs)) < 0.5
-
-    ti, tj, tk, pij, pik, pjk = triple_indices(n)
-    t = b[:, pij] * v[:, tk] - b[:, pik] * v[:, tj] + b[:, pjk] * v[:, ti]
-    qmask = mask[:, pij] & mask[:, pik] & mask[:, pjk]
-    q_sq = np.where(qmask, t.real**2 + t.imag**2, 0.0).sum(axis=1)
-    pb = np.where(mask, b, 0.0)
-    pb_sq = (pb.real**2 + pb.imag**2).sum(axis=1)
-    tp = pb[:, pij] * v[:, tk] - pb[:, pik] * v[:, tj] + pb[:, pjk] * v[:, ti]
-    pbw_sq = (tp.real**2 + tp.imag**2).sum(axis=1)
-    outer = pb_sq - q_sq  # |v| = 1
-    inner = pbw_sq - q_sq
-    defect = np.minimum(outer, inner)
-    violations = int(np.count_nonzero(defect < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defect, chunk)
-    pi_, pj_ = pair_indices(n)
-    pairs = [[int(pi_[k]), int(pj_[k])] for k in range(npairs) if mask[local, k]]
+    outer, inner = _projector_rows(b, v, mask)
+    violations, local, worst, trial = _worst(cfg, chunk, np.minimum(outer, inner))
+    pi, pj = pair_indices(n)
     witness = {
         "trial": trial,
         "n": n,
-        "pairs": pairs,
+        "pairs": [[int(i), int(j)] for i, j in zip(pi[mask[local]], pj[mask[local]])],
         "bivector": _c2l(b[local]),
         "v": _c2l(v[local]),
         "outer": float(outer[local]),
@@ -431,15 +337,7 @@ def _reduction_defect(report, tol: float) -> float:
 
 
 def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
-    rng = trial_rng(cfg.seed, chunk)
-    n = cfg.n
-    if entries is None:
-        mats = distance_matrices_batch(rng, count, n, cfg.matrix_mode)
-    else:
-        mats = np.broadcast_to(entries, (count, n, n))
-    x = states_batch(rng, count, n)
-    y = states_batch(rng, count, n)
-    z = states_batch(rng, count, n)
+    mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     defects = np.empty(count)
     reports = []
     for t in range(count):
@@ -456,12 +354,11 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
         )
         defects[t] = _reduction_defect(rep, cfg.tolerance)
         reports.append(rep)
-    violations = int(np.count_nonzero(defects < -cfg.tolerance))
-    local, worst, trial = _pick_worst(defects, chunk)
+    violations, local, worst, trial = _worst(cfg, chunk, defects)
     rep = reports[local]
     witness = {
         "trial": trial,
-        "n": n,
+        "n": cfg.n,
         "p": float(cfg.p),
         "matrix": _m2l(mats[local]),
         "x": _c2l(x[local]),
@@ -531,56 +428,33 @@ def run_fuzz(
 
 def reevaluate_witness(prop: str, witness: dict) -> float:
     """Recompute a witness defect from its serialized inputs alone."""
-    if prop == "triangle":
-        d, dmax = triangle_defect(
-            np.asarray(witness["matrix"], dtype=float),
-            float(witness["p"]),
-            _l2c(witness["x"]),
-            _l2c(witness["y"]),
-            _l2c(witness["z"]),
-        )
-        return d / max(1.0, dmax)
-    if prop == "minorial":
-        d = check_minorial(
-            np.asarray(witness["weights"], dtype=float),
-            _l2c(witness["x"]),
-            _l2c(witness["y"]),
-            _l2c(witness["z"]),
-        )
-        return min(d.lower, d.upper)
-    if prop == "convexity":
-        return check_convexity(
-            witness["fname"],
-            np.asarray(witness["weights"], dtype=float),
-            _l2c(witness["x"]),
-            _l2c(witness["y"]),
-            _l2c(witness["z"]),
-            p=float(witness["p"]),
-        )
-    if prop == "w1":
-        return -check_generator_identity_w1(
-            np.asarray(witness["weights"], dtype=float),
-            _l2c(witness["x"]),
-            _l2c(witness["y"]),
-            _l2c(witness["z"]),
-        )
     if prop == "projector":
-        coeffs = _l2c(witness["bivector"])
-        b = Bivector(int(witness["n"]), coeffs)
-        d = check_projector_inequality(
-            [tuple(pr) for pr in witness["pairs"]], b, _l2c(witness["v"])
-        )
+        b = Bivector(int(witness["n"]), _l2c(witness["bivector"]))
+        d = check_projector_inequality([tuple(pr) for pr in witness["pairs"]], b, _l2c(witness["v"]))
         return min(d.outer, d.inner)
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}")
+    x, y, z = (_l2c(witness[k]) for k in ("x", "y", "z"))
+    if prop == "triangle":
+        d, dmax = triangle_defect(np.asarray(witness["matrix"], dtype=float), float(witness["p"]), x, y, z)
+        return d / max(1.0, dmax)
     if prop == "reduction":
+        tol = float(witness["tolerance"])
         rep = check_orthonormal_reduction(
             np.asarray(witness["matrix"], dtype=float),
             float(witness["p"]),
-            _l2c(witness["x"]),
-            _l2c(witness["y"]),
-            _l2c(witness["z"]),
+            x,
+            y,
+            z,
             inner_seed=int(witness["inner_seed"]),
             inner_stream=int(witness["inner_stream"]),
-            tol=float(witness["tolerance"]),
+            tol=tol,
         )
-        return _reduction_defect(rep, float(witness["tolerance"]))
-    raise ValueError(f"unknown property {prop!r}")
+        return _reduction_defect(rep, tol)
+    a = np.asarray(witness["weights"], dtype=float)
+    if prop == "minorial":
+        d = check_minorial(a, x, y, z)
+        return min(d.lower, d.upper)
+    if prop == "convexity":
+        return check_convexity(witness["fname"], a, x, y, z, p=float(witness["p"]))
+    return -check_generator_identity_w1(a, x, y, z)

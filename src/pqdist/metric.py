@@ -142,7 +142,7 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
 
     # d(i,k) <= d(i,j) + d(j,k) for all j distinct from i, k
     defect = a[:, None, :] - a[:, :, None] - a.T[None, :, :]
-    ii, jj, kk = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    ii, jj, kk = np.ogrid[:n, :n, :n]
     distinct = (ii != jj) & (jj != kk) & (ii != kk)
     hits = np.argwhere(distinct & (defect > triangle_tol))
     seen = set()
@@ -167,11 +167,11 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
 
 
 def shortest_path_closure(w) -> np.ndarray:
-    """All-pairs shortest-path (Floyd-Warshall) repair of a weight matrix."""
+    """All-pairs shortest-path (Floyd-Warshall) repair of a weight matrix or a (..., n, n) stack."""
     d = np.array(w, dtype=float)
-    n = d.shape[0]
+    n = d.shape[-1]
     for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+        np.minimum(d, d[..., :, k, None] + d[..., None, k, :], out=d)
     return d
 
 
@@ -227,16 +227,27 @@ def dp_from_weights(entries, p: float, x, y) -> float:
     Only the upper triangle of ``entries`` is read; no triangle-inequality
     validation is performed, so invalid weight systems can be probed.
     """
+    wts, xv, yv = _dp_inputs(entries, p, x, y)
+    return float(_dp_rows(wts, p, xv[None], yv[None])[0])
+
+
+def _dp_inputs(entries, p: float, x, y):
+    """Input gates of the d_p evaluators; returns (pair weights E_ij^p, x, y)."""
     if not (p > 0):
         raise ValueError("exponent p must be positive")
     xv, yv = _unit_pair(x, y)
     a = np.asarray(entries, dtype=float)
     if a.shape[0] != xv.size:
         raise ValueError(f"dimension mismatch: matrix is {a.shape[0]}, states are {xv.size}")
-    i, j = pair_indices(xv.size)
-    minors = minors2(xv, yv, i, j)  # bit-antisymmetric, so d is bit-symmetric
-    s = float(np.sum(a[i, j] ** p * (minors.real**2 + minors.imag**2)))
-    return max(s, 0.0) ** (1.0 / p)
+    return pair_weights(a, p), xv, yv
+
+
+def _dp_rows(wts: np.ndarray, p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d_p between the rows of x and y from pair weights E_ij^p: the one evaluator of d_p."""
+    i, j = pair_indices(x.shape[-1])
+    minors = minors2(x, y, i, j)  # bit-antisymmetric, so d is bit-symmetric
+    s = (wts * (minors.real**2 + minors.imag**2)).sum(axis=-1)
+    return np.maximum(s, 0.0) ** (1.0 / p)
 
 
 def d_p(m: DpMetric, x, y) -> float:

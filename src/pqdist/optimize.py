@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exterior import _cross
 from .sampling import trial_rng
 
 __all__ = ["MinimizeResult", "minimize_defect_n3"]
@@ -28,17 +29,6 @@ class MinimizeResult:
     min_defect: float
     triple: tuple[np.ndarray, np.ndarray, np.ndarray]
     iterations: int
-
-
-def _cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
-        ],
-        axis=1,
-    )
 
 
 def _normalize_rows(a: np.ndarray) -> np.ndarray:
@@ -88,7 +78,7 @@ def minimize_defect_n3(
     x, y, z = _normalize_rows(x), _normalize_rows(y), _normalize_rows(z)
 
     def dist_terms(a, b):
-        c = _cross_rows(a, b)
+        c = _cross(a, b)
         s = (m2 * (c.real**2 + c.imag**2)).sum(axis=1)
         return c, s, np.maximum(s, 0.0) ** inv_p
 
@@ -129,9 +119,9 @@ def minimize_defect_n3(
         wxy = grad_scale(sxy)[:, None]
         mxz, myz, mxy = m2 * cxz, m2 * cyz, m2 * cxy
 
-        gx = wxz * _cross_rows(np.conj(z), mxz) - wxy * _cross_rows(np.conj(y), mxy)
-        gy = wyz * _cross_rows(np.conj(z), myz) + wxy * _cross_rows(np.conj(x), mxy)
-        gz = -wxz * _cross_rows(np.conj(x), mxz) - wyz * _cross_rows(np.conj(y), myz)
+        gx = wxz * _cross(np.conj(z), mxz) - wxy * _cross(np.conj(y), mxy)
+        gy = wyz * _cross(np.conj(z), myz) + wxy * _cross(np.conj(x), mxy)
+        gz = -wxz * _cross(np.conj(x), mxz) - wyz * _cross(np.conj(y), myz)
 
         st = step[:, None]
         xn = _normalize_rows(x - st * gx)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exterior import pair_indices
 from .metric import DistanceMatrix, shortest_path_closure
 
 __all__ = [
@@ -45,16 +46,10 @@ def sample_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_orthonormal_triple(n: int, rng: np.random.Generator):
     """Three Gaussian samples orthonormalized; Gram matrix is the identity to ~1e-12."""
-    if n < 3:
-        raise ValueError("orthonormal triples need dimension >= 3")
-    from .exterior import gram_schmidt
-
-    for _ in range(100):
-        vs = [sample_pure_state(n, rng) for _ in range(3)]
-        basis = gram_schmidt(vs)
-        if len(basis) == 3:
-            return basis[0], basis[1], basis[2]
-    raise RuntimeError("failed to draw an independent triple")
+    u, v, w, ok = orthonormal_triples_batch(rng, 1, n)
+    if not ok[0]:  # measure-zero for Gaussian draws
+        raise RuntimeError("failed to draw an independent triple")
+    return u[0], v[0], w[0]
 
 
 def sample_distance_matrix(n: int, mode: str, rng: np.random.Generator) -> DistanceMatrix:
@@ -76,31 +71,26 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
         pts = rng.random((count, n, 3))
         diff = pts[:, :, None, :] - pts[:, None, :, :]
         return np.sqrt((diff**2).sum(axis=-1))
+    npairs = n * (n - 1) // 2
     if mode == "repaired-random":
-        iu, ju = np.triu_indices(n, k=1)
-        d = np.zeros((count, n, n))
-        d[:, iu, ju] = 1.0 - rng.random((count, iu.size))  # uniform on (0, 1]
-        d[:, ju, iu] = d[:, iu, ju]
-        for k in range(n):
-            np.minimum(d, d[:, :, k, None] + d[:, None, k, :], out=d)
-        return d
+        w = 1.0 - rng.random((count, npairs))  # uniform on (0, 1]
+        return shortest_path_closure(_symmetric_from_pairs(w, n))
     if mode == "zero-one":
-        iu, ju = np.triu_indices(n, k=1)
-        vals = np.where(rng.random((count, iu.size)) < 0.5, 1.0, 2.0)
-        d = np.zeros((count, n, n))
-        d[:, iu, ju] = vals
-        d[:, ju, iu] = vals
-        return d
+        return _symmetric_from_pairs(np.where(rng.random((count, npairs)) < 0.5, 1.0, 2.0), n)
     raise ValueError(f"unknown matrix mode {mode!r}; expected one of {MATRIX_MODES}")
 
 
 def sample_symmetric_weights(n: int, rng: np.random.Generator, mode: str = "uniform") -> np.ndarray:
     """Symmetric nonnegative weight matrix with zero diagonal."""
-    w = pair_weights_batch(rng, 1, n, mode)[0]
-    iu, ju = np.triu_indices(n, k=1)
-    full = np.zeros((n, n))
-    full[iu, ju] = w
-    full[ju, iu] = w
+    return _symmetric_from_pairs(pair_weights_batch(rng, 1, n, mode)[0], n)
+
+
+def _symmetric_from_pairs(w: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric zero-diagonal n x n matrices from values over lexicographic pairs (last axis)."""
+    i, j = pair_indices(n)
+    full = np.zeros(w.shape[:-1] + (n, n))
+    full[..., i, j] = w
+    full[..., j, i] = w
     return full
 
 
@@ -135,34 +125,25 @@ def orthonormal_triples_batch(rng: np.random.Generator, count: int, n: int):
     """
     if n < 3:
         raise ValueError("orthonormal triples need dimension >= 3")
-    x = states_batch(rng, count, n)
-    y = states_batch(rng, count, n)
-    z = states_batch(rng, count, n)
-    return _orthonormalize_triples(x, y, z)
+    return _orthonormalize_triples(*(states_batch(rng, count, n) for _ in range(3)))
 
 
 def _orthonormalize_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     def proj_coeff(q, v):
         return (q.conj() * v).sum(axis=1, keepdims=True)
 
-    ok = np.ones(x.shape[0], dtype=bool)
+    def unit(r):
+        nr = np.linalg.norm(r, axis=1, keepdims=True)
+        return r / np.where(nr == 0, 1.0, nr), nr[:, 0] > 1e-8
 
-    nx = np.linalg.norm(x, axis=1, keepdims=True)
-    ok &= nx[:, 0] > 1e-8
-    u = x / np.where(nx == 0, 1.0, nx)
-
-    yv = y.copy()
+    u, ok_u = unit(x)
+    yv = y
     for _ in range(2):
         yv = yv - proj_coeff(u, yv) * u
-    ny = np.linalg.norm(yv, axis=1, keepdims=True)
-    ok &= ny[:, 0] > 1e-8
-    v = yv / np.where(ny == 0, 1.0, ny)
-
-    zv = z.copy()
+    v, ok_v = unit(yv)
+    zv = z
     for _ in range(2):
         zv = zv - proj_coeff(u, zv) * u
         zv = zv - proj_coeff(v, zv) * v
-    nz = np.linalg.norm(zv, axis=1, keepdims=True)
-    ok &= nz[:, 0] > 1e-8
-    w = zv / np.where(nz == 0, 1.0, nz)
-    return u, v, w, ok
+    w, ok_w = unit(zv)
+    return u, v, w, ok_u & ok_v & ok_w

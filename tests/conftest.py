@@ -1,5 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# Child interpreters (``python -m pqdist``) import the package from this
+# checkout too, as pyproject's ``pythonpath = ["src"]`` does for the tests.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def complex_vector(rng, n):

@@ -12,6 +12,8 @@ from pqdist.exterior import (
     hodge_basis,
     inner,
     interior_product,
+    minors2,
+    pair_indices,
     wedge2,
     wedge3,
     wedge_bv,
@@ -55,6 +57,15 @@ class TestWedge2:
     def test_antisymmetry_exact(self, rng):
         x, y = complex_vector(rng, 6), complex_vector(rng, 6)
         assert np.array_equal(wedge2(x, y).coeffs, -wedge2(y, x).coeffs)
+
+    def test_stacked_rows_bitwise(self, rng):
+        # minors2 works over the last axis: a (count, n) stack gives the 1-D result row by row
+        x, y = complex_vector(rng, 48).reshape(8, 6), complex_vector(rng, 48).reshape(8, 6)
+        i, j = pair_indices(6)
+        stacked = minors2(x, y, i, j)
+        for r in range(8):
+            assert np.array_equal(stacked[r], minors2(x[r], y[r], i, j))
+        assert np.array_equal(minors2(y, x, i, j), -stacked)
 
     def test_phase_equivariance(self, rng):
         x, y = unit_vector(rng, 5), unit_vector(rng, 5)

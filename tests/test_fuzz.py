@@ -97,6 +97,20 @@ class TestAllProperties:
         assert rep.violations == 0
         assert abs(reevaluate_witness(prop, json.loads(json.dumps(rep.witness))) - rep.worst_defect) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "prop,cfg",
+        [
+            ("triangle", TrialConfig(n=2, p=1.0, trials=700, seed=7)),
+            ("triangle", TrialConfig(n=6, p=2.5, trials=2_000, seed=3)),
+            ("projector", TrialConfig(n=5, p=2.0, trials=2_000, seed=3)),
+        ],
+    )
+    def test_witness_reevaluates_bitwise(self, prop, cfg):
+        # the scalar verifier runs the campaign's kernel on one row, so inputs
+        # that need no orthonormal polish reproduce the worst defect exactly
+        rep = run_fuzz(prop, cfg)
+        assert reevaluate_witness(prop, json.loads(json.dumps(rep.witness))) == rep.worst_defect
+
     def test_zero_one_weight_mode(self):
         cfg = TrialConfig(n=5, p=2.0, trials=1_000, seed=4, matrix_mode="zero-one")
         rep = run_fuzz("minorial", cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,17 @@ class TestValidation:
         with pytest.raises(DistanceMatrixError) as ex:
             DistanceMatrix.from_array([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         assert ex.value.violations
+
+    def test_triangle_scan_memory(self):
+        n = 100
+        m = np.ones((n, n)) - np.eye(n)
+        tracemalloc.start()
+        try:
+            assert validate_distance_matrix(m).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n**3
 
     def test_triangle_slack_tolerates_rounding(self):
         a = np.array([[0, 1, 2], [1, 0, 1 + 1e-14], [2, 1 + 1e-14, 0]])
@@ -326,3 +339,11 @@ class TestClosure:
         d = shortest_path_closure(w)
         assert validate_distance_matrix(d).ok
         assert np.allclose(shortest_path_closure(d), d, atol=1e-15)
+
+    def test_stacked_equals_per_matrix(self, rng):
+        w = rng.random((5, 6, 6))
+        w = (w + w.transpose(0, 2, 1)) / 2
+        w[:, np.arange(6), np.arange(6)] = 0.0
+        d = shortest_path_closure(w)
+        for k in range(5):
+            assert np.array_equal(d[k], shortest_path_closure(w[k]))
