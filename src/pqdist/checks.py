@@ -3,12 +3,12 @@
 Each inequality (or identity) has one batched kernel here, over rows of pair
 weights (count, n(n-1)/2) and states (count, n): ``_triangle_rows`` (on top
 of ``metric._dp_rows``), ``_minorial_rows``, ``_convexity_rows``,
-``_w1_rows`` and ``_projector_rows``.  The public verifiers gate their inputs
-and run the kernel on one row; ``fuzz`` runs the same kernel on whole chunks,
-so a witness is re-evaluated by the code that found it.  Defects are signed:
-a nonnegative defect means the inequality held, so fuzz campaigns only have
-to watch for values below -tolerance.  The orthonormal-reduction pipeline is
-still evaluated one triple at a time.
+``_w1_rows``, ``_projector_rows`` and, for the orthonormal-reduction
+pipeline, ``_reduction_rows``.  The public verifiers gate their inputs and
+run the kernel on one row; ``fuzz`` runs the same kernel on whole chunks, so
+a witness is re-evaluated by the code that found it.  Defects are signed: a
+nonnegative defect means the inequality held, so fuzz campaigns only have to
+watch for values below -tolerance.
 """
 
 from __future__ import annotations
@@ -21,26 +21,24 @@ import numpy as np
 from .exterior import (
     ORTHO_INPUT_TOL,
     Bivector,
+    _bivector_and_vector,
+    _hodge_frame,
     _minors3,
-    _vector,
+    _pair_of_vectors,
+    _wedge_basis,
     _wedge_bv_coeffs,
     gram_deviation,
-    gram_schmidt,
-    hodge_basis,
     minors2,
     pair_indices,
     pair_positions,
     triple_indices,
-    wedge2,
 )
 from .metric import (
     DistanceMatrix,
     _dp_inputs,
     _dp_rows,
-    _unit_pair,
-    apply_pair_weights,
+    _restricted_form_rows,
     dp_from_weights,
-    restricted_form_eigen,
 )
 from .sampling import _orthonormalize_triples, trial_rng
 
@@ -63,6 +61,7 @@ __all__ = [
 
 HODGE_RESIDUAL_TOL = 1e-10
 MU_CONSISTENCY_TOL = 1e-9
+SUBSPACE_SAMPLES = 16
 
 
 class MinorialDefects(NamedTuple):
@@ -218,13 +217,8 @@ def check_projector_inequality(s, b: Bivector, v) -> ProjectorDefects:
     trivector coefficients whose three pairs all lie in ``s``.  Holds for all
     (also non-simple) bivectors B; returns both gaps.
     """
-    n = b.n
-    vv = _vector(v)
-    if vv.size != n:
-        raise ValueError(f"dimension mismatch: {n} vs {vv.size}")
-    mask = _pair_mask(s, n)
-    if n < 3:
-        raise ValueError("wedge_bv needs dimension >= 3")
+    vv = _bivector_and_vector(b, v)
+    mask = _pair_mask(s, b.n)
     outer, inner = _projector_rows(b.coeffs[None], vv[None], mask[None])
     return ProjectorDefects(float(outer[0]), float(inner[0]))
 
@@ -262,7 +256,7 @@ def triangle_defect(entries, p: float, x, y, z) -> tuple[float, float]:
     distances, the largest distance).  The first value is the minimum over
     the three cyclic defects."""
     wts, xv, yv = _dp_inputs(entries, p, x, y)
-    _, zv = _unit_pair(x, z)
+    _, zv = _pair_of_vectors(xv, z)
     slack, dmax, _ = _triangle_rows(wts, p, xv[None], yv[None], zv[None])
     return float(slack[0]), float(dmax[0])
 
@@ -271,7 +265,7 @@ def triangle_defect(entries, p: float, x, y, z) -> tuple[float, float]:
 class ReductionReport:
     """Outcome of collapsing a triple to a 3-dim subspace and its wedge form."""
 
-    mus: tuple[float, float, float]
+    mus: tuple[float, float, float]  # ascending
     hodge_residual: float
     mu_residual: float
     spectral_margin: float  # (sum - 2 max) of mu^(2/p), relative to max(1, sum)
@@ -291,68 +285,83 @@ def check_orthonormal_reduction(
     y,
     z,
     *,
-    subspace_samples: int = 16,
+    subspace_samples: int = SUBSPACE_SAMPLES,
     inner_seed: int = 0,
     inner_stream: int = 0,
     tol: float = 1e-9,
 ) -> ReductionReport:
     """Cross-validate the reduction of arbitrary triples to orthonormal ones.
 
-    Any three unit vectors are completed to an orthonormal basis of a 3-dim
+    Any three vectors are completed to an orthonormal basis of a 3-dim
     subspace V; the pair-weight form restricted to the wedge square of V is
     diagonalized, its eigen-bivectors are realized as wedges of an
     orthonormal frame, and the sqrt-eigenvalues mu are checked in two ways:
 
     * mu-consistency: the weighted norms of the frame wedges reproduce mu;
     * equivalence: 2 max mu^(2/p) <= sum mu^(2/p) agrees with direct triangle
-      checks over random orthonormal triples drawn inside V.
+      checks over ``subspace_samples`` random orthonormal triples drawn inside
+      V from the stream ``trial_rng(inner_seed, inner_stream)``.
     """
-    entries = e.entries if isinstance(e, DistanceMatrix) else np.asarray(e, dtype=float)
-    vs = [np.asarray(v, dtype=complex) for v in (x, y, z)]
-    basis = gram_schmidt(vs, complete_to=3)
-    mus, eigen_bs = restricted_form_eigen(entries, p, basis)
-    frame = hodge_basis(*eigen_bs, basis)
+    wts, xv, yv = _dp_inputs(e.entries if isinstance(e, DistanceMatrix) else e, p, x, y)
+    _, zv = _pair_of_vectors(xv, z)
+    if xv.size < 3:
+        raise ValueError(f"cannot span 3 dimensions inside C^{xv.size}")
+    draws = _subspace_draws(inner_seed, [inner_stream], subspace_samples)
+    return _reduction_report(_reduction_rows(wts[None], p, xv[None], yv[None], zv[None], draws, tol), 0, tol)
 
-    frame_wedges = [
-        wedge2(frame[1], frame[2]),
-        wedge2(frame[2], frame[0]),
-        wedge2(frame[0], frame[1]),
-    ]
-    hodge_residual = max(
-        float(np.abs(frame_wedges[0].coeffs - eigen_bs[0].coeffs).max()),
-        float(np.abs(frame_wedges[1].coeffs - eigen_bs[1].coeffs).max()),
-        float(np.abs(frame_wedges[2].coeffs - eigen_bs[2].coeffs).max()),
-    )
-    mu_residual = 0.0
-    for mu, fw in zip(mus, frame_wedges):
-        got = apply_pair_weights(entries, p / 2.0, fw).norm()
-        mu_residual = max(mu_residual, abs(got - mu) / max(1.0, abs(mu)))
 
-    vals = np.asarray(mus, dtype=float) ** (2.0 / p)
-    total = float(vals.sum())
-    spectral_margin = (total - 2.0 * float(vals.max())) / max(1.0, total)
-    spectral_ok = spectral_margin >= -tol
+def _subspace_draws(seed: int, streams, samples: int) -> np.ndarray:
+    """Gaussian (re, im) parts of each stream's subspace samples: (len(streams), samples, 2, 3, 3).
 
-    rng = trial_rng(inner_seed, inner_stream)
-    vmat = np.stack(basis)
-    subspace_fuzz_ok = True
-    for _ in range(subspace_samples):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        q, _ = np.linalg.qr(g)
-        triple = q.T @ vmat
-        defect, dmax = triangle_defect(entries, p, triple[0], triple[1], triple[2])
-        if defect < -tol * max(1.0, dmax):
-            subspace_fuzz_ok = False
-            break
+    One draw per stream gives the values of ``samples`` sequential (re, im) pairs of (3, 3) draws.
+    """
+    out = np.empty((len(streams), samples, 2, 3, 3))
+    for row, stream in zip(out, streams):
+        trial_rng(seed, int(stream)).standard_normal(out=row)
+    return out
 
+
+def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: float):
+    """Reduction kernel over pair weights E_ij^p (count, n(n-1)/2), states (count, n) and subspace draws.
+
+    The first three columns of a QR factorization of (x, y, z) span a 3-space
+    V containing the inputs, also when they are dependent.  Returns the
+    ascending mus (count, 3), the Hodge and mu residuals, the normalized
+    spectral margin and whether every subspace sample kept the triangle
+    inequality within ``tol``.
+    """
+    q, _ = np.linalg.qr(np.stack([x, y, z], axis=-1))
+    v = q.swapaxes(-1, -2)
+    mus, u, bs = _restricted_form_rows(wts, v)
+    frame_wedges = _wedge_basis(_hodge_frame(u, v))
+    hodge_residual = np.abs(frame_wedges - bs).max(axis=(-2, -1))
+    got = np.sqrt((wts[:, None, :] * _sq(frame_wedges)).sum(axis=-1))
+    mu_residual = (np.abs(got - mus) / np.maximum(1.0, np.abs(mus))).max(axis=-1)
+
+    vals = mus ** (2.0 / p)
+    total = vals.sum(axis=-1)
+    spectral_margin = (total - 2.0 * vals.max(axis=-1)) / np.maximum(1.0, total)
+
+    fuzz_ok = np.ones(len(v), dtype=bool)
+    for s in range(draws.shape[1]):
+        g, _ = np.linalg.qr(draws[:, s, 0] + 1j * draws[:, s, 1])
+        t = g.swapaxes(-1, -2) @ v
+        slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
+        fuzz_ok &= slack >= -tol * np.maximum(1.0, dmax)  # NaN fails
+    return mus, hodge_residual, mu_residual, spectral_margin, fuzz_ok
+
+
+def _reduction_report(rows, t: int, tol: float) -> ReductionReport:
+    """Report of row t of the reduction kernel's output."""
+    mus, hodge_residual, mu_residual, spectral_margin, fuzz_ok = (r[t] for r in rows)
     return ReductionReport(
-        mus=(mus.mu1, mus.mu2, mus.mu3),
-        hodge_residual=hodge_residual,
-        mu_residual=mu_residual,
-        spectral_margin=spectral_margin,
-        mu_consistent=(hodge_residual <= HODGE_RESIDUAL_TOL and mu_residual <= MU_CONSISTENCY_TOL),
-        spectral_ok=spectral_ok,
-        subspace_fuzz_ok=subspace_fuzz_ok,
+        mus=(float(mus[0]), float(mus[1]), float(mus[2])),
+        hodge_residual=float(hodge_residual),
+        mu_residual=float(mu_residual),
+        spectral_margin=float(spectral_margin),
+        mu_consistent=bool(hodge_residual <= HODGE_RESIDUAL_TOL and mu_residual <= MU_CONSISTENCY_TOL),
+        spectral_ok=bool(spectral_margin >= -tol),
+        subspace_fuzz_ok=bool(fuzz_ok),
     )
 
 

@@ -8,9 +8,10 @@ coefficient sums obey the Lagrange identity and, for orthonormal families,
 the Cauchy-Binet normalization (the squared minors sum to 1).
 
 ``minors2``, ``_minors3`` (behind ``wedge3``), ``_wedge_bv_coeffs`` (behind
-``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, so
-one vector and a (count, n) stack of rows share one formula; the batched
-kernels in ``checks`` and ``optimize`` call them directly.
+``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, and
+``_wedge_basis`` and ``_hodge_frame`` (behind ``hodge_basis``) over stacks of
+3-row bases, so one input and a stack of them share one formula; the batched
+kernels in ``checks``, ``metric`` and ``optimize`` call them directly.
 """
 
 from __future__ import annotations
@@ -210,12 +211,17 @@ def wedge_bv(b: Bivector, v) -> Trivector:
 
     Coefficient on (i, j, k):  B_ij v_k - B_ik v_j + B_jk v_i.
     """
+    return Trivector(b.n, _wedge_bv_coeffs(b.coeffs, _bivector_and_vector(b, v)))
+
+
+def _bivector_and_vector(b: Bivector, v) -> np.ndarray:
+    """Gate of the (bivector, vector) wedge: a 1-D vector of the bivector's dimension n >= 3."""
     vv = _vector(v)
     if vv.size != b.n:
         raise ValueError(f"dimension mismatch: {b.n} vs {vv.size}")
     if b.n < 3:
-        raise ValueError("wedge_bv needs dimension >= 3")
-    return Trivector(b.n, _wedge_bv_coeffs(b.coeffs, vv))
+        raise ValueError("a bivector-vector wedge needs dimension >= 3")
+    return vv
 
 
 def _wedge_bv_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -347,10 +353,8 @@ def hodge_basis(b1: Bivector, b2: Bivector, b3: Bivector, v_basis, *, tol: float
         f2 ^ f3 = b1,   f3 ^ f1 = b2,   f1 ^ f2 = b3.
 
     The triple {b_l} expands over the wedge basis {v2^v3, v3^v1, v1^v2} with a
-    unitary coefficient matrix U; the frame f_l = sum_m conj(U_lm) v_m works
-    exactly when det U = 1, which is arranged by multiplying v1 with a square
-    root of det U (that phase enters columns 2 and 3 of U conjugated, so the
-    determinant picks up |det U|^2 = 1).
+    unitary coefficient matrix U; the frame is f_l = c sum_m conj(U_lm) v_m
+    with c a square root of det U (see ``_hodge_frame``).
     """
     vs = [_vector(v) for v in v_basis]
     if len(vs) != 3:
@@ -362,22 +366,32 @@ def hodge_basis(b1: Bivector, b2: Bivector, b3: Bivector, v_basis, *, tol: float
     if gram_deviation(vs) > tol:
         raise ValueError("basis vectors are not orthonormal")
 
-    v1, v2, v3 = vs
-    wedges = [wedge2(v2, v3), wedge2(v3, v1), wedge2(v1, v2)]
-    bs = (b1, b2, b3)
-    u = np.empty((3, 3), dtype=complex)
-    for l in range(3):
-        for m in range(3):
-            u[l, m] = np.vdot(wedges[m].coeffs, bs[l].coeffs)
-        resid = bs[l].coeffs - sum(u[l, m] * wedges[m].coeffs for m in range(3))
-        if np.abs(resid).max() > tol:
-            raise ValueError("bivector is not contained in the wedge square of the basis span")
+    v = np.stack(vs)
+    w = _wedge_basis(v)
+    bs = np.stack([b1.coeffs, b2.coeffs, b3.coeffs])
+    u = bs @ np.conj(w).T
+    if np.abs(bs - u @ w).max() > tol:
+        raise ValueError("bivector is not contained in the wedge square of the basis span")
     if np.abs(u @ u.conj().T - np.eye(3)).max() > tol:
         raise ValueError("bivector triple is not orthonormal")
-
-    phase = np.sqrt(np.linalg.det(u))
-    v1 = phase * v1
-    u[:, 1] *= np.conj(phase)
-    u[:, 2] *= np.conj(phase)
-    frame = np.conj(u) @ np.stack([v1, v2, v3])
+    frame = _hodge_frame(u, v)
     return [frame[0], frame[1], frame[2]]
+
+
+def _wedge_basis(v: np.ndarray) -> np.ndarray:
+    """Wedge basis (v2^v3, v3^v1, v1^v2) of the rows (..., 3, n), stacked on axis -2.
+
+    On pair (i, j) it is the cross product of columns i and j, in ``minors2``'s operand order.
+    """
+    i, j = pair_indices(v.shape[-1])
+    return _cross(v[..., i].swapaxes(-1, -2), v[..., j].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _hodge_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked Hodge frames c conj(U) V, c = sqrt(det U), for unitary u (..., 3, 3) and rows v (..., 3, n).
+
+    The wedges (f2^f3, f3^f1, f1^f2) of a frame A V expand over the wedge basis
+    of V with the cofactor matrix det(A) A^-T; for A = c conj(U) and
+    |det U| = 1 this is c^3 conj(det U) (c conj(U))^-T = U.
+    """
+    return np.sqrt(np.linalg.det(u))[..., None, None] * (np.conj(u) @ v)

@@ -8,8 +8,7 @@ the smallest trial index, both of which are order-independent reductions.
 
 Each chunk runs sample -> kernel -> reduce and witness.  The kernels are the
 batched ones in ``checks`` that the scalar verifiers also run, so
-``reevaluate_witness`` re-checks a witness with the code that found it;
-only the reduction property still loops over its trials.
+``reevaluate_witness`` re-checks a witness with the code that found it.
 
 Defect conventions per property (nonnegative means the property held):
 
@@ -34,9 +33,13 @@ from ._version import __version__
 from .checks import (
     HODGE_RESIDUAL_TOL,
     MU_CONSISTENCY_TOL,
+    SUBSPACE_SAMPLES,
     _convexity_rows,
     _minorial_rows,
     _projector_rows,
+    _reduction_report,
+    _reduction_rows,
+    _subspace_draws,
     _triangle_rows,
     _w1_rows,
     check_convexity,
@@ -47,7 +50,7 @@ from .checks import (
     triangle_defect,
 )
 from .exterior import Bivector, pair_indices
-from .metric import DistanceMatrix
+from .metric import DistanceMatrix, pair_weights
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
@@ -196,7 +199,7 @@ class _ChunkOutcome:
 
 def _worst(cfg: TrialConfig, chunk: int, defects: np.ndarray) -> tuple[int, int, float, int]:
     """(violations, local index, defect, trial index) of the chunk's worst row."""
-    violations = int(np.count_nonzero(defects < -cfg.tolerance))
+    violations = int(np.count_nonzero(~(defects >= -cfg.tolerance)))  # NaN counts
     local = int(np.argmin(defects))
     return violations, local, float(defects[local]), chunk * CHUNK_TRIALS + local
 
@@ -216,8 +219,7 @@ def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
 def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     n, p = cfg.n, cfg.p
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
-    pi, pj = pair_indices(n)
-    wts = mats[:, pi, pj] ** p
+    wts = pair_weights(mats, p)
 
     def norm_defect(a, b, c):
         slack, dmax, d = _triangle_rows(wts, p, a, b, c)
@@ -305,8 +307,7 @@ def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     rng = trial_rng(cfg.seed, chunk)
     n = cfg.n
     npairs = n * (n - 1) // 2
-    b = rng.standard_normal((count, npairs)) + 1j * rng.standard_normal((count, npairs))
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    b = states_batch(rng, count, npairs)  # unit bivectors: unit vectors over the pairs
     v = states_batch(rng, count, n)
     mask = rng.random((count, npairs)) < 0.5
     outer, inner = _projector_rows(b, v, mask)
@@ -325,37 +326,19 @@ def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     return _ChunkOutcome(violations, worst, trial, witness)
 
 
-def _reduction_defect(report, tol: float) -> float:
-    d = min(
-        report.spectral_margin,
-        -tol * (report.hodge_residual / HODGE_RESIDUAL_TOL),
-        -tol * (report.mu_residual / MU_CONSISTENCY_TOL),
-    )
-    if report.spectral_ok != report.subspace_fuzz_ok:
-        d = min(d, -2.0 * tol)
-    return float(d)
+def _reduction_defect(hodge_residual, mu_residual, spectral_margin, fuzz_ok, tol: float):
+    residual = np.maximum(hodge_residual / HODGE_RESIDUAL_TOL, mu_residual / MU_CONSISTENCY_TOL)
+    d = np.minimum(spectral_margin, -tol * residual)
+    return np.where((spectral_margin >= -tol) != fuzz_ok, np.minimum(d, -2.0 * tol), d)
 
 
 def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
-    defects = np.empty(count)
-    reports = []
-    for t in range(count):
-        trial = chunk * CHUNK_TRIALS + t
-        rep = check_orthonormal_reduction(
-            mats[t],
-            cfg.p,
-            x[t],
-            y[t],
-            z[t],
-            inner_seed=cfg.seed,
-            inner_stream=_REDUCTION_STREAM_BASE + trial,
-            tol=cfg.tolerance,
-        )
-        defects[t] = _reduction_defect(rep, cfg.tolerance)
-        reports.append(rep)
-    violations, local, worst, trial = _worst(cfg, chunk, defects)
-    rep = reports[local]
+    streams = _REDUCTION_STREAM_BASE + chunk * CHUNK_TRIALS + np.arange(count)
+    draws = _subspace_draws(cfg.seed, streams, SUBSPACE_SAMPLES)
+    rows = _reduction_rows(pair_weights(mats, cfg.p), cfg.p, x, y, z, draws, cfg.tolerance)
+    violations, local, worst, trial = _worst(cfg, chunk, _reduction_defect(*rows[1:], cfg.tolerance))
+    rep = _reduction_report(rows, local, cfg.tolerance)
     witness = {
         "trial": trial,
         "n": cfg.n,
@@ -450,7 +433,9 @@ def reevaluate_witness(prop: str, witness: dict) -> float:
             inner_stream=int(witness["inner_stream"]),
             tol=tol,
         )
-        return _reduction_defect(rep, tol)
+        return float(
+            _reduction_defect(rep.hodge_residual, rep.mu_residual, rep.spectral_margin, rep.subspace_fuzz_ok, tol)
+        )
     a = np.asarray(witness["weights"], dtype=float)
     if prop == "minorial":
         d = check_minorial(a, x, y, z)

@@ -21,10 +21,11 @@ import numpy as np
 from .exterior import (
     ORTHO_INPUT_TOL,
     Bivector,
+    _pair_of_vectors,
+    _wedge_basis,
     gram_deviation,
     minors2,
     pair_indices,
-    wedge2,
 )
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "pair_weights",
     "spectral_condition_n3",
     "embed",
-    "hermitian_eig3",
     "restricted_form_eigen",
     "apply_pair_weights",
 ]
@@ -176,7 +176,7 @@ def shortest_path_closure(w) -> np.ndarray:
 
 
 class EigenTriple(NamedTuple):
-    """Square roots of the eigenvalues of the restricted pair-weight form."""
+    """Square roots of the eigenvalues of the restricted pair-weight form, ascending."""
 
     mu1: float
     mu2: float
@@ -199,26 +199,18 @@ class DpMetric:
         return self.p >= 2
 
 
-def _unit_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.asarray(x, dtype=complex)
-    yv = np.asarray(y, dtype=complex)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ValueError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    return xv, yv
-
-
 def d_hs(x, y) -> float:
     """Hilbert-Schmidt distance sqrt(1 - |<x|y>|^2) between unit vectors."""
-    xv, yv = _unit_pair(x, y)
+    xv, yv = _pair_of_vectors(x, y)
     overlap = abs(np.vdot(xv, yv)) ** 2
     return float(np.sqrt(1.0 - min(max(overlap, 0.0), 1.0)))
 
 
 def pair_weights(entries, power: float) -> np.ndarray:
-    """Off-diagonal entries raised to ``power``, in lexicographic pair order."""
+    """Off-diagonal entries of a matrix or a (..., n, n) stack raised to ``power``, in lexicographic pair order."""
     a = np.asarray(entries, dtype=float)
-    i, j = pair_indices(a.shape[0])
-    return a[i, j] ** power
+    i, j = pair_indices(a.shape[-1])
+    return a[..., i, j] ** power
 
 
 def dp_from_weights(entries, p: float, x, y) -> float:
@@ -235,7 +227,7 @@ def _dp_inputs(entries, p: float, x, y):
     """Input gates of the d_p evaluators; returns (pair weights E_ij^p, x, y)."""
     if not (p > 0):
         raise ValueError("exponent p must be positive")
-    xv, yv = _unit_pair(x, y)
+    xv, yv = _pair_of_vectors(x, y)
     a = np.asarray(entries, dtype=float)
     if a.shape[0] != xv.size:
         raise ValueError(f"dimension mismatch: matrix is {a.shape[0]}, states are {xv.size}")
@@ -288,52 +280,6 @@ def embed(rho: DistanceMatrix, p: float):
     return states, metric
 
 
-def hermitian_eig3(h, *, tol: float = 1e-14, max_sweeps: int = 50):
-    """Eigen-decomposition of a 3x3 Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps continue until the largest off-diagonal modulus falls below
-    ``tol`` times the matrix scale.  Returns (eigenvalues, V) with the
-    eigenvalues in the order the diagonal settles into (no sorting) and the
-    matching eigenvectors as columns of the unitary V.
-    """
-    a = np.asarray(h, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError("hermitian_eig3 expects a 3x3 matrix")
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(3, dtype=complex)
-    scale = max(1.0, float(np.abs(a).max()))
-
-    def off(m):
-        return max(abs(m[0, 1]), abs(m[0, 2]), abs(m[1, 2]))
-
-    for _ in range(max_sweeps):
-        if off(a) <= tol * scale:
-            break
-        for p_, q_ in ((0, 1), (0, 2), (1, 2)):
-            r = abs(a[p_, q_])
-            if r == 0.0:
-                continue
-            u = a[p_, q_] / r
-            tau = (a[q_, q_].real - a[p_, p_].real) / (2.0 * r)
-            t = 1.0 / (abs(tau) + np.hypot(1.0, tau))
-            if tau < 0:
-                t = -t
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            jrot = np.eye(3, dtype=complex)
-            jrot[p_, p_] = c
-            jrot[p_, q_] = s
-            jrot[q_, p_] = -s * np.conj(u)
-            jrot[q_, q_] = c * np.conj(u)
-            a = jrot.conj().T @ a @ jrot
-            a = (a + a.conj().T) / 2.0
-            v = v @ jrot
-    else:
-        if off(a) > tol * scale:
-            raise RuntimeError("Jacobi sweep failed to converge on a 3x3 Hermitian matrix")
-    return np.real(np.diag(a)).copy(), v
-
-
 def apply_pair_weights(entries, power: float, b: Bivector) -> Bivector:
     """Multiply each bivector coefficient by the matching entry power.
 
@@ -351,8 +297,9 @@ def restricted_form_eigen(e, p: float, v_basis, *, tol: float = ORTHO_INPUT_TOL)
 
     ``v_basis`` must be three orthonormal vectors spanning V.  The Hermitian
     3x3 matrix H_ab = <W_a | E^p W_b> over the wedge basis
-    {v2^v3, v3^v1, v1^v2} is diagonalized with cyclic Jacobi rotations;
-    returns (EigenTriple of sqrt-eigenvalues, orthonormal eigen-bivectors).
+    {v2^v3, v3^v1, v1^v2} is diagonalized with ``numpy.linalg.eigh``;
+    returns (EigenTriple of sqrt-eigenvalues in ascending order, the matching
+    orthonormal eigen-bivectors).
     """
     entries = e.entries if isinstance(e, DistanceMatrix) else np.asarray(e, dtype=float)
     vs = [np.asarray(v, dtype=complex) for v in v_basis]
@@ -360,20 +307,22 @@ def restricted_form_eigen(e, p: float, v_basis, *, tol: float = ORTHO_INPUT_TOL)
         raise ValueError("restricted_form_eigen needs exactly three basis vectors")
     if gram_deviation(vs) > tol:
         raise ValueError("basis vectors are not orthonormal")
-    v1, v2, v3 = vs
-    n = v1.size
+    n = vs[0].size
     if entries.shape[0] != n:
         raise ValueError(f"dimension mismatch: matrix is {entries.shape[0]}, basis is {n}")
+    mus, _, bs = _restricted_form_rows(pair_weights(entries, p), np.stack(vs))
+    return EigenTriple(*(float(m) for m in mus)), [Bivector(n, c) for c in bs]
 
-    wedges = [wedge2(v2, v3), wedge2(v3, v1), wedge2(v1, v2)]
-    wts = pair_weights(entries, p)
-    h = np.empty((3, 3), dtype=complex)
-    for a_ in range(3):
-        for b_ in range(3):
-            h[a_, b_] = np.vdot(wedges[a_].coeffs, wts * wedges[b_].coeffs)
-    evals, vmat = hermitian_eig3(h)
-    mus = np.sqrt(np.clip(evals, 0.0, None))
-    eigen_bivectors = [
-        Bivector(n, sum(vmat[m, a_] * wedges[m].coeffs for m in range(3))) for a_ in range(3)
-    ]
-    return EigenTriple(float(mus[0]), float(mus[1]), float(mus[2])), eigen_bivectors
+
+def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
+    """Restricted form over the wedge basis W of the orthonormal rows v (..., 3, n).
+
+    With pair weights E_ij^p in ``wts`` (..., n(n-1)/2), returns the ascending
+    sqrt-eigenvalues (..., 3), the unitary U (..., 3, 3) whose rows expand the
+    eigen-bivectors over W, and the eigen-bivectors U W (..., 3, n(n-1)/2).
+    """
+    w = _wedge_basis(v)
+    h = np.conj(w) @ (wts[..., None, :] * w).swapaxes(-1, -2)
+    evals, vecs = np.linalg.eigh(h)
+    u = vecs.swapaxes(-1, -2)
+    return np.sqrt(np.clip(evals, 0.0, None)), u, u @ w

@@ -40,8 +40,7 @@ def sample_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit vector with the unitarily invariant distribution on the sphere of C^n."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    return states_batch(rng, 1, n)[0]
 
 
 def sample_orthonormal_triple(n: int, rng: np.random.Generator):
@@ -105,10 +104,8 @@ def pair_weights_batch(rng: np.random.Generator, count: int, n: int, mode: str) 
 
 
 def sample_unit_bivector_coeffs(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm Gaussian coefficient vector over pairs (generically non-simple)."""
-    npairs = n * (n - 1) // 2
-    c = rng.standard_normal(npairs) + 1j * rng.standard_normal(npairs)
-    return c / np.linalg.norm(c)
+    """Unit-norm Gaussian coefficients over the n(n-1)/2 pairs (generically non-simple), drawn as a state."""
+    return states_batch(rng, 1, n * (n - 1) // 2)[0]
 
 
 def states_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from conftest import basis
 from pqdist.exterior import Bivector, interior_product, wedge2, wedge3
 from pqdist.metric import dp_from_weights
 from pqdist.checks import (
+    _subspace_draws,
     check_convexity,
     check_generator_identity_w1,
     check_minorial,
@@ -293,6 +294,16 @@ class TestOrthonormalReduction:
             assert rep.hodge_residual <= 1e-10
             assert rep.mu_residual <= 1e-9
             assert rep.verdict
+
+    def test_subspace_draws_match_sequential_pairs(self):
+        # one draw per stream replays the 16 sequential (re, im) pairs of
+        # (3, 3) draws that stored inner streams were made with
+        streams = [0, 5, 2**32 + 17]
+        draws = _subspace_draws(11, streams, 16)
+        for row, stream in zip(draws, streams):
+            rng = trial_rng(11, stream)
+            pairs = [[rng.standard_normal((3, 3)), rng.standard_normal((3, 3))] for _ in range(16)]
+            assert np.array_equal(row, np.array(pairs))
 
     def test_needs_three_dimensions(self):
         rng = trial_rng(20)

@@ -146,6 +146,21 @@ class TestFuzz:
         assert main(["fuzz", "--property", "triangle", "--matrix", files["broken"],
                      "--trials", "10"]) == 2
 
+    @pytest.mark.parametrize("prop,rc", [("triangle", 1), ("reduction", 2)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_defects_do_not_pass(self, tmp_path, prop, rc):
+        # E^p overflows to inf, so every defect is NaN: triangle counts each
+        # trial as a violation, and the reduction's eigensolver rejects the form
+        entries = np.full((4, 4), 1e40)
+        np.fill_diagonal(entries, 0.0)
+        fileio.save_matrix(tmp_path / "huge.json", entries)
+        out = str(tmp_path / "rep.json")
+        argv = ["fuzz", "--property", prop, "--matrix", str(tmp_path / "huge.json"),
+                "--p", "10", "--trials", "600", "--out", out]
+        assert main(argv) == rc
+        if rc == 1:
+            assert fileio.load_report(out)["violations"] == 600
+
     def test_byte_identical_reports_modulo_elapsed(self, files):
         out1 = str(files["tmp"] / "r1.json")
         out2 = str(files["tmp"] / "r2.json")

@@ -103,6 +103,7 @@ class TestAllProperties:
             ("triangle", TrialConfig(n=2, p=1.0, trials=700, seed=7)),
             ("triangle", TrialConfig(n=6, p=2.5, trials=2_000, seed=3)),
             ("projector", TrialConfig(n=5, p=2.0, trials=2_000, seed=3)),
+            ("reduction", TrialConfig(n=6, p=2.0, trials=600, seed=21)),
         ],
     )
     def test_witness_reevaluates_bitwise(self, prop, cfg):

@@ -15,7 +15,6 @@ from pqdist.metric import (
     d_p,
     dp_from_weights,
     embed,
-    hermitian_eig3,
     restricted_form_eigen,
     shortest_path_closure,
     spectral_condition_n3,
@@ -248,27 +247,6 @@ class TestEmbed:
         rho = DistanceMatrix.from_array([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="p >= 2"):
             embed(rho, 1.5)
-
-
-class TestHermitianEig3:
-    def test_against_reference_solver(self, rng):
-        for _ in range(200):
-            a = complex_vector(rng, 9).reshape(3, 3)
-            h = (a + a.conj().T) / 2 * rng.uniform(0.1, 50)
-            evals, v = hermitian_eig3(h)
-            scale = max(1.0, np.abs(h).max())
-            assert np.allclose(np.sort(evals), np.linalg.eigvalsh(h), atol=1e-12 * scale)
-            assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1e-13
-            assert np.abs(h @ v - v @ np.diag(evals)).max() <= 1e-12 * scale
-
-    def test_diagonal_input_untouched(self):
-        evals, v = hermitian_eig3(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(evals, [3.0, 1.0, 2.0])
-        assert np.array_equal(v, np.eye(3))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            hermitian_eig3(np.eye(2))
 
 
 class TestRestrictedForm:

@@ -62,6 +62,15 @@ class TestPureStates:
         with pytest.raises(ValueError):
             sample_pure_state(0, trial_rng(0))
 
+    def test_single_draws_equal_batch_rows_bitwise(self):
+        # a bivector over n(n-1)/2 pairs is drawn like a state on that many coordinates
+        for seed in range(50):
+            for n in (2, 3, 5, 8):
+                state = sample_pure_state(n, trial_rng(seed))
+                assert np.array_equal(state, states_batch(trial_rng(seed), 1, n)[0])
+                coeffs = sample_unit_bivector_coeffs(n, trial_rng(seed))
+                assert np.array_equal(coeffs, states_batch(trial_rng(seed), 1, n * (n - 1) // 2)[0])
+
 
 class TestOrthonormalTriples:
     def test_gram_is_identity(self):
