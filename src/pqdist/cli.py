@@ -137,7 +137,7 @@ def cmd_fuzz(args) -> int:
             f"-> {args.out}"
         )
     else:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     found = report.violations > 0
     if args.expect_violation:
         return 0 if found else PROPERTY_FAILURE

@@ -2,7 +2,8 @@
 
 Floats are serialized with Python's shortest round-trip representation, so
 parse(serialize(x)) == x holds exactly and identically seeded runs produce
-byte-identical files.
+byte-identical files.  Reports are strict JSON: ``write_report`` refuses NaN
+and Infinity, which a report body carries as null.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def write_report(path, report_dict: dict) -> None:
     if os.path.dirname(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2)
+        json.dump(report_dict, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

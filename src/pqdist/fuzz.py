@@ -22,6 +22,7 @@ Defect conventions per property (nonnegative means the property held):
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -127,7 +128,7 @@ class VerificationReport:
         cfg = self.config.to_dict()
         if self.matrix is not None:
             cfg["matrix"] = self.matrix
-        return {
+        return _finite_or_none({
             "property": self.property,
             "config": cfg,
             "trials": int(self.trials),
@@ -137,7 +138,19 @@ class VerificationReport:
             "seed": int(self.seed),
             "elapsed_ms": float(self.elapsed_ms),
             "version": self.version,
-        }
+        })
+
+
+def _finite_or_none(obj):
+    """Copy of a report body with every non-finite float, at any depth, as None
+    (JSON null): NaN and Infinity are not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_none(v) for v in obj]
+    return obj
 
 
 def thread_count(explicit: int | None = None) -> int:

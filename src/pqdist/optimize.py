@@ -3,10 +3,14 @@
 For diagonal pair weights (l1, l2, l3) acting through the cross product, the
 triangle defect  d(x,z) + d(y,z) - d(x,y)  with
 d(a,b) = (sum_i l_i^p |(a x b)_i|^2)^(1/p)  is minimized over unit triples by
-multi-start projected gradient descent.  When twice the largest weight is at
-most their sum the minimum is zero (attained at degenerate triples); when it
-exceeds the sum the canonical basis is already a witness, so the canonical
-permutations are seeded as the first restarts.
+multi-start projected gradient descent.  All restarts form one stacked
+iterate, and each keeps its own step length: a trial point is accepted on
+sufficient decrease (Armijo, f_new <= f - c1 * step * |g|^2), after which the
+step doubles up to a fixed multiple of the initial step; a rejected trial
+halves it.  When twice the largest weight is at most their sum the minimum is
+zero (attained at degenerate triples); when it exceeds the sum the canonical
+basis is already a witness, so the canonical permutations are seeded as the
+first restarts.
 """
 
 from __future__ import annotations
@@ -22,6 +26,14 @@ __all__ = ["MinimizeResult", "minimize_defect_n3"]
 
 _CONVERGED_TOL = 1e-10
 _MIN_STEP = 1e-14
+_ARMIJO_C1 = 1e-4  # sufficient-decrease constant
+_STEP_GROWTH = 2.0  # step factor after an accepted trial
+_STEP_CAP = 4.0  # largest step, as a multiple of step0
+
+# Left, then right operands of the pair terms (x,z), (y,z), (x,y) of a stacked
+# triple (x, y, z), and the signs with which their distances enter the defect.
+_OPERANDS = np.array([0, 1, 0, 2, 2, 1])
+_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -32,7 +44,31 @@ class MinimizeResult:
 
 
 def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _defect_and_gradient(v: np.ndarray, m2: np.ndarray, inv_p: float):
+    """Defect and its gradient for stacked triples ``v`` of shape (3, r, 3).
+
+    ``m2`` holds the squared-norm weights l^p and ``inv_p`` is 1/p.  Returns
+    ``(f, g)``: the defect of each of the r triples, with a non-finite value
+    read as +inf, and the gradient with respect to the conjugate of each
+    vector, shape (3, r, 3).  One cross-product call gives all three pair
+    terms and one more gives their gradients from the same cross terms.
+    """
+    ab = v[_OPERANDS]
+    c = _cross(ab[:3], ab[3:])
+    s = (m2 * (c.real**2 + c.imag**2)).sum(axis=-1)
+    d = np.maximum(s, 0.0) ** inv_p
+    f = d[0] + d[1] - d[2]
+    f[~np.isfinite(f)] = np.inf
+    # d/ds of s^(1/p), guarded at the non-smooth s = 0 locus
+    w = np.where(s > 1e-280, inv_p * np.maximum(s, 1e-300) ** (inv_p - 1.0), 0.0)
+    mc = (_SIGNS[:, None] * w)[..., None] * m2 * c
+    # Rows 0-2: each term's gradient in its left operand; rows 3-5: in its right.
+    ab = np.conj(ab)
+    t = _cross(np.concatenate([ab[3:], mc]), np.concatenate([mc, ab[:3]]))
+    return f, t[[0, 1, 3]] + t[[2, 5, 4]]
 
 
 def minimize_defect_n3(
@@ -46,10 +82,14 @@ def minimize_defect_n3(
 ) -> MinimizeResult:
     """Minimize the n=3 triangle defect over unit triples (x, y, z).
 
-    Projected gradient descent with per-restart step halving on non-decrease;
-    the projection renormalizes each vector.  Restarts: the three canonical
-    basis permutations plus Gaussian random triples.  Returns the smallest
-    defect seen anywhere along the trajectories and the triple achieving it.
+    Projected gradient descent on all restarts at once; the projection
+    renormalizes each vector.  Each restart keeps its own step: a trial is
+    accepted when its defect is finite and at most f - 1e-4 * step * |g|^2,
+    which doubles the step up to 4 * step0; otherwise the step halves.  A
+    restart stops once an accepted step gains less than 1e-10 or its step
+    falls below 1e-14.  Restarts: the three canonical basis permutations
+    plus Gaussian random triples.  Returns the smallest defect seen anywhere
+    along the trajectories and the triple achieving it.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (3,):
@@ -66,44 +106,15 @@ def minimize_defect_n3(
 
     rng = trial_rng(seed, 0)
     r = restarts
-    eye = np.eye(3, dtype=complex)
+    v = np.empty((3, r, 3), dtype=complex)
+    for k, perm in enumerate(([0, 1, 2], [1, 2, 0], [2, 0, 1])):
+        v[k, :3] = np.eye(3)[perm]
+        v[k, 3:] = rng.standard_normal((r - 3, 3)) + 1j * rng.standard_normal((r - 3, 3))
+    v = _normalize_rows(v)
 
-    def rand_block():
-        v = rng.standard_normal((r - 3, 3)) + 1j * rng.standard_normal((r - 3, 3))
-        return v
-
-    x = np.concatenate([eye[[0, 1, 2]], rand_block()])
-    y = np.concatenate([eye[[1, 2, 0]], rand_block()])
-    z = np.concatenate([eye[[2, 0, 1]], rand_block()])
-    x, y, z = _normalize_rows(x), _normalize_rows(y), _normalize_rows(z)
-
-    def dist_terms(a, b):
-        c = _cross(a, b)
-        s = (m2 * (c.real**2 + c.imag**2)).sum(axis=1)
-        return c, s, np.maximum(s, 0.0) ** inv_p
-
-    def defect_of(a, b, cvec):
-        _, _, dxz = dist_terms(a, cvec)
-        _, _, dyz = dist_terms(b, cvec)
-        _, _, dxy = dist_terms(a, b)
-        return dxz + dyz - dxy
-
-    def grad_scale(s):
-        # d/ds of s^(1/p), guarded at the non-smooth s = 0 locus
-        return np.where(s > 1e-280, inv_p * np.maximum(s, 1e-300) ** (inv_p - 1.0), 0.0)
-
-    best_val = np.inf
-    best_triple = (x[0].copy(), y[0].copy(), z[0].copy())
-
-    def consider(vals, xs, ys, zs):
-        nonlocal best_val, best_triple
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_triple = (xs[i].copy(), ys[i].copy(), zs[i].copy())
-
-    f = defect_of(x, y, z)
-    consider(f, x, y, z)
+    f, g = _defect_and_gradient(v, m2, inv_p)
+    i = int(np.argmin(f))
+    best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
 
     step = np.full(r, step0)
     active = np.ones(r, dtype=bool)
@@ -111,32 +122,21 @@ def minimize_defect_n3(
 
     for it in range(iterations):
         iters_done = it + 1
-        cxz, sxz, _ = dist_terms(x, z)
-        cyz, syz, _ = dist_terms(y, z)
-        cxy, sxy, _ = dist_terms(x, y)
-        wxz = grad_scale(sxz)[:, None]
-        wyz = grad_scale(syz)[:, None]
-        wxy = grad_scale(sxy)[:, None]
-        mxz, myz, mxy = m2 * cxz, m2 * cyz, m2 * cxy
+        vn = _normalize_rows(v - step[:, None] * g)
+        fn, gn = _defect_and_gradient(vn, m2, inv_p)
+        i = int(np.argmin(fn))
+        if fn[i] < best_val:
+            best_val, best_triple = float(fn[i]), tuple(vn[:, i].copy())
 
-        gx = wxz * _cross(np.conj(z), mxz) - wxy * _cross(np.conj(y), mxy)
-        gy = wyz * _cross(np.conj(z), myz) + wxy * _cross(np.conj(x), mxy)
-        gz = -wxz * _cross(np.conj(x), mxz) - wyz * _cross(np.conj(y), myz)
-
-        st = step[:, None]
-        xn = _normalize_rows(x - st * gx)
-        yn = _normalize_rows(y - st * gy)
-        zn = _normalize_rows(z - st * gz)
-        fn = defect_of(xn, yn, zn)
-        consider(fn, xn, yn, zn)
-
-        improved = (fn < f) & active
-        x[improved], y[improved], z[improved] = xn[improved], yn[improved], zn[improved]
-        tiny = improved & (f - fn < _CONVERGED_TOL)
-        f = np.where(improved, fn, f)
-        step[~improved & active] *= 0.5
-        active &= ~tiny
-        active &= step >= _MIN_STEP
+        gsq = (g.real**2 + g.imag**2).sum(axis=(0, 2))
+        accept = active & (fn < np.inf) & (fn <= f - _ARMIJO_C1 * step * gsq)
+        np.copyto(v, vn, where=accept[:, None])
+        np.copyto(g, gn, where=accept[:, None])
+        tiny = accept & (f - fn < _CONVERGED_TOL)
+        f = np.where(accept, fn, f)
+        step = np.where(accept, np.minimum(step * _STEP_GROWTH, _STEP_CAP * step0), step)
+        step[~accept & active] *= 0.5
+        active &= ~tiny & (step >= _MIN_STEP)
         if not active.any():
             break
 

@@ -161,6 +161,26 @@ class TestFuzz:
         if rc == 1:
             assert fileio.load_report(out)["violations"] == 600
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_report_is_valid_json(self, tmp_path, capsys):
+        # the overflow probe's NaN defect and infinite distances are written as null
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        entries = np.full((4, 4), 1e40)
+        np.fill_diagonal(entries, 0.0)
+        fileio.save_matrix(tmp_path / "huge.json", entries)
+        out = tmp_path / "rep.json"
+        argv = ["fuzz", "--property", "triangle", "--matrix", str(tmp_path / "huge.json"),
+                "--p", "10", "--trials", "600"]
+        assert main(argv + ["--out", str(out)]) == 1
+        capsys.readouterr()
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["worst_defect"] is None and doc["violations"] == 600
+        assert main(argv) == 1
+        printed = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert printed["witness"]["defect"] is None and printed["witness"] == doc["witness"]
+
     def test_byte_identical_reports_modulo_elapsed(self, files):
         out1 = str(files["tmp"] / "r1.json")
         out2 = str(files["tmp"] / "r2.json")
