@@ -40,7 +40,7 @@ from .metric import (
     _restricted_form_rows,
     dp_from_weights,
 )
-from .sampling import _orthonormalize_triples, trial_rng
+from .sampling import _orthonormalize_triples, _philox_key, trial_rng
 
 __all__ = [
     "CONVEXITY_SHAPES",
@@ -313,11 +313,17 @@ def check_orthonormal_reduction(
 def _subspace_draws(seed: int, streams, samples: int) -> np.ndarray:
     """Gaussian (re, im) parts of each stream's subspace samples: (len(streams), samples, 2, 3, 3).
 
-    One draw per stream gives the values of ``samples`` sequential (re, im) pairs of (3, 3) draws.
+    Row r holds the values of ``samples`` sequential (re, im) pairs of (3, 3)
+    draws from ``trial_rng(seed, streams[r])``.  One generator draws every
+    row: re-keying it costs a fraction of building a fresh one.
     """
     out = np.empty((len(streams), samples, 2, 3, 3))
+    rng = trial_rng(seed)
+    fresh = rng.bit_generator.state  # counter zero, buffer empty
     for row, stream in zip(out, streams):
-        trial_rng(seed, int(stream)).standard_normal(out=row)
+        fresh["state"]["key"] = _philox_key(seed, int(stream))
+        rng.bit_generator.state = fresh
+        rng.standard_normal(out=row)
     return out
 
 
@@ -325,10 +331,15 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     """Reduction kernel over pair weights E_ij^p (count, n(n-1)/2), states (count, n) and subspace draws.
 
     The first three columns of a QR factorization of (x, y, z) span a 3-space
-    V containing the inputs, also when they are dependent.  Returns the
+    V containing the inputs, also when they are dependent.  Each subspace
+    sample is the orthonormalized columns of its complex (3, 3) draw; one
+    batched Gram-Schmidt makes every frame of the call.  Its frames differ
+    from a QR's Q only by a phase per column, which no d_p sees.  Returns the
     ascending mus (count, 3), the Hodge and mu residuals, the normalized
     spectral margin and whether every subspace sample kept the triangle
-    inequality within ``tol``.
+    inequality within ``tol``; a sample whose draw is degenerate (its frame
+    is flagged by the Gram-Schmidt) counts as failed.  The frames are built
+    in the memory of ``draws``, which the call overwrites.
     """
     q, _ = np.linalg.qr(np.stack([x, y, z], axis=-1))
     v = q.swapaxes(-1, -2)
@@ -342,10 +353,21 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     total = vals.sum(axis=-1)
     spectral_margin = (total - 2.0 * vals.max(axis=-1)) / np.maximum(1.0, total)
 
-    fuzz_ok = np.ones(len(v), dtype=bool)
-    for s in range(draws.shape[1]):
-        g, _ = np.linalg.qr(draws[:, s, 0] + 1j * draws[:, s, 1])
-        t = g.swapaxes(-1, -2) @ v
+    # The frames overwrite the draws: frames[i, s, a] is column a of sample
+    # s's complex draw, then the a-th vector of its orthonormal frame.
+    count, samples = draws.shape[:2]
+    parts = draws.copy()
+    frames = draws.reshape(count, samples, 18).view(complex).reshape(count, samples, 3, 3)
+    frames.real = parts[:, :, 0].swapaxes(-1, -2)
+    frames.imag = parts[:, :, 1].swapaxes(-1, -2)
+    del parts
+    cols = frames.reshape(-1, 3, 3)
+    *vectors, ok = _orthonormalize_triples(cols[:, 0], cols[:, 1], cols[:, 2])
+    for a, g in enumerate(vectors):
+        cols[:, a] = g
+    fuzz_ok = ok.reshape(count, samples).all(axis=-1)
+    for s in range(samples):
+        t = frames[:, s] @ v
         slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
         fuzz_ok &= slack >= -tol * np.maximum(1.0, dmax)  # NaN fails
     return mus, hodge_residual, mu_residual, spectral_margin, fuzz_ok

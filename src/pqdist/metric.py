@@ -140,13 +140,8 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
                 Violation("nonpositive-offdiagonal", (int(i), int(j)), f"E[{i},{j}]={float(a[i,j])!r} <= 0")
             )
 
-    # d(i,k) <= d(i,j) + d(j,k) for all j distinct from i, k
-    defect = a[:, None, :] - a[:, :, None] - a.T[None, :, :]
-    ii, jj, kk = np.ogrid[:n, :n, :n]
-    distinct = (ii != jj) & (jj != kk) & (ii != kk)
-    hits = np.argwhere(distinct & (defect > triangle_tol))
     seen = set()
-    for i, j, k in hits:
+    for i, j, k in _triangle_hits(a, triangle_tol):
         key = (min(i, k), int(j), max(i, k))
         if key in seen:
             continue
@@ -164,6 +159,29 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
     if violations:
         return ValidationResult(False, violations, None)
     return ValidationResult(True, [], DistanceMatrix(a))
+
+
+# Elements of the (i, j, k) defect cube scanned at once; bounds the scan's memory.
+_SCAN_BLOCK = 1 << 16
+
+
+def _triangle_hits(a: np.ndarray, triangle_tol: float):
+    """Distinct (i, j, k) with E[i,k] > E[i,j] + E[j,k] + tol, in lexicographic order.
+
+    The n^3 defect cube is built over blocks of i, so memory stays
+    O(max(n^2, _SCAN_BLOCK)); the scan stops when the caller stops iterating.
+    """
+    n = a.shape[0]
+    step = max(1, _SCAN_BLOCK // (n * n))
+    jj, kk = np.ogrid[:n, :n]
+    for start in range(0, n, step):
+        rows = a[start : start + step]
+        ii = np.arange(start, start + len(rows))[:, None, None]
+        # d(i,k) <= d(i,j) + d(j,k) for all j distinct from i, k
+        defect = rows[:, None, :] - rows[:, :, None] - a.T[None, :, :]
+        distinct = (ii != jj) & (jj != kk) & (ii != kk)
+        for i, j, k in np.argwhere(distinct & (defect > triangle_tol)):
+            yield i + start, j, k
 
 
 def shortest_path_closure(w) -> np.ndarray:

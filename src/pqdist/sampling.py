@@ -3,6 +3,9 @@
 Randomness is organized as counter-based streams: ``trial_rng(seed, stream)``
 builds an independent Philox generator keyed by the pair, so work can be
 split across chunks/threads while staying bit-reproducible for a fixed seed.
+A loop over many streams can instead re-key one generator: assigning a fresh
+generator's state with the key ``_philox_key(seed, stream)`` gives the same
+bits at a fraction of the cost of building a generator.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ MATRIX_MODES = ("euclidean-points", "repaired-random", "zero-one")
 _MASK64 = (1 << 64) - 1
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """Philox key of the stream (seed, stream): both reduced modulo 2^64."""
+    return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+
+
 def trial_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); same pair, same bits."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
 
 
 def sample_pure_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,21 +133,33 @@ def orthonormal_triples_batch(rng: np.random.Generator, count: int, n: int):
 
 
 def _orthonormalize_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray):
-    def proj_coeff(q, v):
-        return (q.conj() * v).sum(axis=1, keepdims=True)
+    """Two-pass Gram-Schmidt of the rows of x, y, z: (u, v, w, ok).
 
-    def unit(r):
-        nr = np.linalg.norm(r, axis=1, keepdims=True)
-        return r / np.where(nr == 0, 1.0, nr), nr[:, 0] > 1e-8
+    Works in place on copies of the inputs with one scratch array, so a call
+    holds four arrays of the inputs' size besides the inputs.  ``ok`` is
+    False on rows with a residual below 1e-8.
+    """
+    tmp = np.empty(x.shape, dtype=complex)
 
-    u, ok_u = unit(x)
-    yv = y
+    def project_out(q, r):  # r -= <q, r> q
+        np.multiply(np.conjugate(q, out=tmp), r, out=tmp)
+        np.multiply(tmp.sum(axis=1, keepdims=True), q, out=tmp)
+        r -= tmp
+
+    def unit(r):  # r /= |r|, summed as np.linalg.norm sums
+        np.multiply(np.conjugate(r, out=tmp), r, out=tmp)
+        nr = np.sqrt(tmp.real.sum(axis=1, keepdims=True))
+        r /= np.where(nr == 0, 1.0, nr)
+        return r, nr[:, 0] > 1e-8
+
+    u, ok_u = unit(np.array(x, dtype=complex))
+    yv = np.array(y, dtype=complex)
     for _ in range(2):
-        yv = yv - proj_coeff(u, yv) * u
+        project_out(u, yv)
     v, ok_v = unit(yv)
-    zv = z
+    zv = np.array(z, dtype=complex)
     for _ in range(2):
-        zv = zv - proj_coeff(u, zv) * u
-        zv = zv - proj_coeff(v, zv) * v
+        project_out(u, zv)
+        project_out(v, zv)
     w, ok_w = unit(zv)
     return u, v, w, ok_u & ok_v & ok_w

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import basis
 from pqdist.exterior import Bivector, interior_product, wedge2, wedge3
-from pqdist.metric import dp_from_weights
+from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
+    _reduction_report,
+    _reduction_rows,
     _subspace_draws,
     check_convexity,
     check_generator_identity_w1,
@@ -304,6 +306,26 @@ class TestOrthonormalReduction:
             rng = trial_rng(11, stream)
             pairs = [[rng.standard_normal((3, 3)), rng.standard_normal((3, 3))] for _ in range(16)]
             assert np.array_equal(row, np.array(pairs))
+        # the re-keyed generator reduces edge keys modulo 2^64 as trial_rng does
+        edge_streams = [2**32 + 3, 2**64 - 1, 0, 2**64 + 5]
+        for seed in (2**64 + 7, -3, 2**63):
+            draws = _subspace_draws(seed, np.array(edge_streams[:2], dtype=np.uint64), 4)
+            assert np.array_equal(draws, _subspace_draws(seed, edge_streams[:2], 4))
+            draws = _subspace_draws(seed, edge_streams, 4)
+            for row, stream in zip(draws, edge_streams):
+                assert np.array_equal(row.ravel(), trial_rng(seed, stream).standard_normal(row.size))
+
+    def test_degenerate_subspace_frame_fails_the_sample(self):
+        # a rank-deficient draw has no orthonormal frame; its trial must not pass
+        e = np.array([[0, 1.0, 0.9], [1.0, 0, 0.6], [0.9, 0.6, 0]])
+        wts = np.repeat(pair_weights(e, 2.0)[None], 2, axis=0)
+        x, y, z = (np.repeat(basis(3, k)[None], 2, axis=0) for k in range(3))
+        draws = _subspace_draws(3, [0, 1], 16)
+        draws[1, 5, :, :, 2] = draws[1, 5, :, :, 0]  # third column repeats the first
+        rows = _reduction_rows(wts, 2.0, x, y, z, draws, 1e-9)
+        assert rows[4].tolist() == [True, False]
+        rep = _reduction_report(rows, 1, 1e-9)
+        assert rep.spectral_ok and not rep.subspace_fuzz_ok and not rep.verdict
 
     def test_needs_three_dimensions(self):
         rng = trial_rng(20)

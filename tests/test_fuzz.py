@@ -55,10 +55,13 @@ class TestDeterminism:
         cfg = TrialConfig(n=5, p=2.5, trials=3_000, seed=99)
         assert scrubbed(run_fuzz("triangle", cfg)) == scrubbed(run_fuzz("triangle", cfg))
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = TrialConfig(n=4, p=2.0, trials=4_000, seed=42)
-        a = run_fuzz("minorial", cfg, threads=1)
-        b = run_fuzz("minorial", cfg, threads=8)
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_thread_count_does_not_change_results(self, prop):
+        # at least two chunks, so the threads split the campaign
+        trials = 600 if prop == "reduction" else 4_000
+        cfg = TrialConfig(n=4, p=2.0, trials=trials, seed=42)
+        a = run_fuzz(prop, cfg, threads=1)
+        b = run_fuzz(prop, cfg, threads=8)
         assert scrubbed(a) == scrubbed(b)
 
     def test_env_var_cap(self, monkeypatch):

@@ -88,6 +88,30 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 24 * n**3
 
+    def test_triangle_scan_memory_is_bounded(self):
+        # the n^3 defect cube is scanned in blocks of the first index
+        n = 200
+        m = np.ones((n, n)) - np.eye(n)
+        tracemalloc.start()
+        try:
+            assert validate_distance_matrix(m).ok
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n**3
+
+    def test_triangle_witnesses_across_scan_blocks(self):
+        # violations in different blocks of the scan keep lexicographic
+        # (i, j, k) order; each gadget breaks only E[a,b] <= E[a,j] + E[j,b]
+        n = 300
+        m = np.ones((n, n)) - np.eye(n)
+        for a, j, b in ((10, 20, 30), (200, 210, 220)):
+            m[a, j] = m[j, a] = m[j, b] = m[b, j] = 0.5
+            m[a, b] = m[b, a] = 1.5
+        tri = validate_distance_matrix(m).violations
+        assert [(v.kind, v.indices) for v in tri] == [("triangle", (10, 20, 30)), ("triangle", (200, 210, 220))]
+        assert tri[1].detail == "E[200,220]=1.5 > E[200,210]+E[210,220]=1.0"
+
     def test_triangle_slack_tolerates_rounding(self):
         a = np.array([[0, 1, 2], [1, 0, 1 + 1e-14], [2, 1 + 1e-14, 0]])
         assert validate_distance_matrix(a).ok
