@@ -315,7 +315,8 @@ def restricted_form_eigen(e, p: float, v_basis, *, tol: float = ORTHO_INPUT_TOL)
 
     ``v_basis`` must be three orthonormal vectors spanning V.  The Hermitian
     3x3 matrix H_ab = <W_a | E^p W_b> over the wedge basis
-    {v2^v3, v3^v1, v1^v2} is diagonalized with ``numpy.linalg.eigh``;
+    {v2^v3, v3^v1, v1^v2} is diagonalized through the singular values of
+    its weighted wedge matrix (see ``_restricted_form_rows``);
     returns (EigenTriple of sqrt-eigenvalues in ascending order, the matching
     orthonormal eigen-bivectors).
     """
@@ -338,9 +339,14 @@ def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
     With pair weights E_ij^p in ``wts`` (..., n(n-1)/2), returns the ascending
     sqrt-eigenvalues (..., 3), the unitary U (..., 3, 3) whose rows expand the
     eigen-bivectors over W, and the eigen-bivectors U W (..., 3, n(n-1)/2).
+
+    The form is H = B^H B with B = diag(sqrt(E^p)) W^T.  The singular values
+    of B are the sqrt-eigenvalues of H, and its right singular vectors are
+    their eigenvectors.  Taking them from B, without forming H, keeps small
+    sqrt-eigenvalues accurate when the weights span many orders of magnitude.
     """
     w = _wedge_basis(v)
-    h = np.conj(w) @ (wts[..., None, :] * w).swapaxes(-1, -2)
-    evals, vecs = np.linalg.eigh(h)
-    u = vecs.swapaxes(-1, -2)
-    return np.sqrt(np.clip(evals, 0.0, None)), u, u @ w
+    b = np.sqrt(wts)[..., :, None] * w.swapaxes(-1, -2)
+    _, svals, vh = np.linalg.svd(b, full_matrices=False)
+    u = np.conj(vh[..., ::-1, :])
+    return svals[..., ::-1], u, u @ w

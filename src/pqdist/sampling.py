@@ -135,7 +135,7 @@ def orthonormal_triples_batch(rng: np.random.Generator, count: int, n: int):
 def _orthonormalize_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray):
     """Two-pass Gram-Schmidt of the rows of x, y, z: (u, v, w, ok).
 
-    Works in place on copies of the inputs with one scratch array, so a call
+    Works in place on copies of the inputs with one temporary array, so a call
     holds four arrays of the inputs' size besides the inputs.  ``ok`` is
     False on rows with a residual below 1e-8.
     """

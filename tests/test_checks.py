@@ -5,6 +5,7 @@ import pytest
 
 from conftest import basis
 from pqdist.exterior import Bivector, interior_product, wedge2, wedge3
+from pqdist.fuzz import TrialConfig, _l2c, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
     _reduction_report,
@@ -326,6 +327,25 @@ class TestOrthonormalReduction:
         assert rows[4].tolist() == [True, False]
         rep = _reduction_report(rows, 1, 1e-9)
         assert rep.spectral_ok and not rep.subspace_fuzz_ok and not rep.verdict
+
+    @pytest.mark.parametrize("seed", [28, 1, 2])
+    def test_small_entry_spectral_margin_matches_exact_n3(self, seed):
+        # at n=3 the wedge square of any orthonormal basis is all of the
+        # bivectors, so the mus are exactly sqrt(E_ij^p) and the margin is
+        # (sum E - 2 max E) / max(1, sum E); seed 28's witness has a
+        # degenerate triangle with a 0.0016 entry, E^p ~ 1e-21 at p=7.5
+        cfg = TrialConfig(n=3, p=7.5, trials=600, seed=seed, matrix_mode="repaired-random")
+        rep = run_fuzz("reduction", cfg)
+        assert rep.violations == 0
+        w = rep.witness
+        e = np.array(w["matrix"])
+        pairs = e[[0, 0, 1], [1, 2, 2]]
+        exact = (pairs.sum() - 2 * pairs.max()) / max(1.0, pairs.sum())
+        got = check_orthonormal_reduction(
+            e, 7.5, *(_l2c(w[k]) for k in "xyz"), inner_seed=w["inner_seed"], inner_stream=w["inner_stream"]
+        )
+        assert got.spectral_margin == pytest.approx(exact, abs=cfg.tolerance)
+        assert got.verdict
 
     def test_needs_three_dimensions(self):
         rng = trial_rng(20)
