@@ -25,6 +25,7 @@ from .exterior import (
     _hodge_frame,
     _minors3,
     _pair_of_vectors,
+    _row_sums,
     _wedge_basis,
     _wedge_bv_coeffs,
     gram_deviation,
@@ -118,70 +119,72 @@ def _sq(m: np.ndarray) -> np.ndarray:
 def _pair_sum(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pair-weighted squared 2x2-minor sums of the rows of x and y."""
     i, j = pair_indices(x.shape[-1])
-    return (a * _sq(minors2(x, y, i, j))).sum(axis=-1)
+    return _row_sums(a * _sq(minors2(x, y, i, j)))
 
 
-def _weight_triples(a: np.ndarray, n: int) -> np.ndarray:
-    """Weights (a_ij, a_ik, a_jk) of every triple i < j < k, stacked on axis 0."""
+def _pair_triples(a: np.ndarray, n: int):
+    """Values (a_ij, a_ik, a_jk) over the pairs of every triple i < j < k."""
     _, _, _, pij, pik, pjk = triple_indices(n)
-    return np.stack([a[..., pij], a[..., pik], a[..., pjk]])
+    return a[..., pij], a[..., pik], a[..., pjk]
 
 
-def _fvalue(fname: str, u: np.ndarray, p: float | None = None) -> np.ndarray:
-    """Shape f of the three values stacked on axis 0 of u."""
+def _fvalue(fname: str, u, p: float | None = None) -> np.ndarray:
+    """Shape f of the three values u = (u0, u1, u2), elementwise."""
+    u0, u1, u2 = u
     if fname == "max":
-        return u.max(axis=0)
+        return np.maximum(np.maximum(u0, u1), u2)
     if fname == "min":
-        return u.min(axis=0)
+        return np.minimum(np.minimum(u0, u1), u2)
     if fname == "sum":
-        return u.sum(axis=0)
-    return (u ** (1.0 / p)).sum(axis=0) ** p
+        return u0 + u1 + u2
+    r = 1.0 / p
+    return (u0**r + u1**r + u2**r) ** p
 
 
 def _triangle_rows(wts: np.ndarray, p: float, x, y, z):
-    """Triangle kernel: (sum - 2 max, max, the distances d_xy, d_xz, d_yz on axis 0)."""
-    d = np.stack([_dp_rows(wts, p, x, y), _dp_rows(wts, p, x, z), _dp_rows(wts, p, y, z)])
-    dmax = d.max(axis=0)
-    return d[0] + d[1] + d[2] - 2.0 * dmax, dmax, d
+    """Triangle kernel: (sum - 2 max, max, the distances d_xy, d_xz, d_yz on the last axis)."""
+    d = _dp_rows(wts, p, x, y), _dp_rows(wts, p, x, z), _dp_rows(wts, p, y, z)
+    dmax = _fvalue("max", d)
+    return d[0] + d[1] + d[2] - 2.0 * dmax, dmax, np.stack(d, axis=-1)
 
 
 def _minorial_rows(a: np.ndarray, x, y, z):
     """Minorial kernel: (middle - lower bound, upper bound - middle)."""
     mid = _pair_sum(a, x, y)
     pt = _sq(_minors3(x, y, z))
-    stacked = _weight_triples(a, x.shape[-1])
-    return mid - (_fvalue("min", stacked) * pt).sum(axis=-1), (_fvalue("max", stacked) * pt).sum(axis=-1) - mid
+    stacked = _pair_triples(a, x.shape[-1])
+    return mid - _row_sums(_fvalue("min", stacked) * pt), _row_sums(_fvalue("max", stacked) * pt) - mid
 
 
 def _convexity_rows(fnames, a: np.ndarray, x, y, z, p: float | None):
-    """Convexity kernel: one row of signed defects per shape in ``fnames``."""
-    g = np.stack([_pair_sum(a, x, y), _pair_sum(a, x, z), _pair_sum(a, y, z)])
+    """Convexity kernel: signed defects (count, len(fnames)), one column per shape in ``fnames``."""
+    g = (_pair_sum(a, x, y), _pair_sum(a, x, z), _pair_sum(a, y, z))
     pt = _sq(_minors3(x, y, z))
-    stacked = _weight_triples(a, x.shape[-1])
+    stacked = _pair_triples(a, x.shape[-1])
     out = []
     for fname in fnames:
-        avg = (_fvalue(fname, stacked, p) * pt).sum(axis=-1)
+        avg = _row_sums(_fvalue(fname, stacked, p) * pt)
         fg = _fvalue(fname, g, p)
         out.append(avg - fg if fname == "max" else fg - avg)
-    return np.stack(out)
+    return np.stack(out, axis=-1)
 
 
 def _w1_rows(a: np.ndarray, x, y, z):
     """Generator-identity kernel: (lhs, rhs, relative residual)."""
     lhs = _pair_sum(a, x, y) + _pair_sum(a, x, z) + _pair_sum(a, y, z)
-    rhs = (_fvalue("sum", _weight_triples(a, x.shape[-1])) * _sq(_minors3(x, y, z))).sum(axis=-1)
+    rhs = _row_sums(_fvalue("sum", _pair_triples(a, x.shape[-1])) * _sq(_minors3(x, y, z)))
     denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     return lhs, rhs, np.abs(lhs - rhs) / denom
 
 
 def _projector_rows(b: np.ndarray, v: np.ndarray, mask: np.ndarray):
     """Masked-projector kernel over bivector rows b and pair masks: (outer, inner)."""
-    _, _, _, pij, pik, pjk = triple_indices(v.shape[-1])
-    qmask = mask[..., pij] & mask[..., pik] & mask[..., pjk]
-    q_sq = np.where(qmask, _sq(_wedge_bv_coeffs(b, v)), 0.0).sum(axis=-1)
+    m_ij, m_ik, m_jk = _pair_triples(mask, v.shape[-1])
+    qmask = m_ij & m_ik & m_jk
+    q_sq = _row_sums(np.where(qmask, _sq(_wedge_bv_coeffs(b, v)), 0.0))
     pb = np.where(mask, b, 0.0)
-    outer = _sq(pb).sum(axis=-1) * _sq(v).sum(axis=-1) - q_sq
-    inner = _sq(_wedge_bv_coeffs(pb, v)).sum(axis=-1) - q_sq
+    outer = _row_sums(_sq(pb)) * _row_sums(_sq(v)) - q_sq
+    inner = _row_sums(_sq(_wedge_bv_coeffs(pb, v))) - q_sq
     return outer, inner
 
 
@@ -346,7 +349,7 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     mus, u, bs = _restricted_form_rows(wts, v)
     frame_wedges = _wedge_basis(_hodge_frame(u, v))
     hodge_residual = np.abs(frame_wedges - bs).max(axis=(-2, -1))
-    got = np.sqrt((wts[:, None, :] * _sq(frame_wedges)).sum(axis=-1))
+    got = np.sqrt(_row_sums(wts[:, None, :] * _sq(frame_wedges)))
     mu_residual = (np.abs(got - mus) / np.maximum(1.0, np.abs(mus))).max(axis=-1)
 
     vals = mus ** (2.0 / p)

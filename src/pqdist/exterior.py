@@ -12,6 +12,17 @@ the Cauchy-Binet normalization (the squared minors sum to 1).
 ``_wedge_basis`` and ``_hodge_frame`` (behind ``hodge_basis``) over stacks of
 3-row bases, so one input and a stack of them share one formula; the batched
 kernels in ``checks``, ``metric`` and ``optimize`` call them directly.
+
+Each row of a stacked result equals, bit for bit, the result for that row
+alone, whatever the number of rows, so row slices of a stack give the bits
+of the whole stack.  Two rules keep it so.  numpy may run ``a * tmp`` as
+``tmp *= a`` when ``tmp`` is a large temporary, and complex products are not
+bit-commutative under FMA contraction; so no complex product here has a
+temporary on its right beside a named array on its left.  And every sum
+over the last axis goes through ``_row_sums``: a fancy-index gather along
+the last axis comes back in Fortran order, which keeps the elementwise work
+in one contiguous loop, but numpy then sums a stack's rows one term at a
+time and a lone row pairwise.
 """
 
 from __future__ import annotations
@@ -197,13 +208,13 @@ def wedge3(x, y, z) -> Trivector:
 
 
 def _minors3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """3x3 minors of the rows (x, y, z) over the triples of the last axis."""
-    ti, tj, tk, _, _, _ = triple_indices(x.shape[-1])
-    return (
-        x[..., ti] * (y[..., tj] * z[..., tk] - y[..., tk] * z[..., tj])
-        - x[..., tj] * (y[..., ti] * z[..., tk] - y[..., tk] * z[..., ti])
-        + x[..., tk] * (y[..., ti] * z[..., tj] - y[..., tj] * z[..., ti])
-    )
+    """3x3 minors of the rows (x, y, z) over the triples of the last axis.
+
+    Laplace expansion along x: the minors of x ^ y ^ z are the coefficients
+    of (y ^ z) ^ x, so the 2x2 minors are formed once per pair, not per triple.
+    """
+    i, j = pair_indices(x.shape[-1])
+    return _wedge_bv_coeffs(minors2(y, z, i, j), x)
 
 
 def wedge_bv(b: Bivector, v) -> Trivector:
@@ -378,13 +389,25 @@ def hodge_basis(b1: Bivector, b2: Bivector, b3: Bivector, v_basis, *, tol: float
     return [frame[0], frame[1], frame[2]]
 
 
-def _wedge_basis(v: np.ndarray) -> np.ndarray:
-    """Wedge basis (v2^v3, v3^v1, v1^v2) of the rows (..., 3, n), stacked on axis -2.
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right whatever the row count.
 
-    On pair (i, j) it is the cross product of columns i and j, in ``minors2``'s operand order.
+    numpy adds along the slowest axis in memory one term at a time, but
+    along a contiguous axis pairwise.  So the sum runs over a width-major
+    copy (no copy for the Fortran-ordered stacks that fancy-index gathers
+    leave), and a sum of a single row is taken over the row doubled, so
+    that it, too, runs along a slow axis.
     """
+    tt = t.T
+    if tt[0].size == 1:
+        return np.stack([tt, tt], axis=-1).sum(axis=0)[..., 0].T
+    return np.ascontiguousarray(tt).sum(axis=0).T
+
+
+def _wedge_basis(v: np.ndarray) -> np.ndarray:
+    """Wedge basis (v2^v3, v3^v1, v1^v2) of the rows (..., 3, n), stacked on axis -2."""
     i, j = pair_indices(v.shape[-1])
-    return _cross(v[..., i].swapaxes(-1, -2), v[..., j].swapaxes(-1, -2)).swapaxes(-1, -2)
+    return minors2(v[..., [1, 2, 0], :], v[..., [2, 0, 1], :], i, j)
 
 
 def _hodge_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -394,4 +417,5 @@ def _hodge_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     of V with the cofactor matrix det(A) A^-T; for A = c conj(U) and
     |det U| = 1 this is c^3 conj(det U) (c conj(U))^-T = U.
     """
-    return np.sqrt(np.linalg.det(u))[..., None, None] * (np.conj(u) @ v)
+    frame = np.conj(u) @ v
+    return np.multiply(np.sqrt(np.linalg.det(u))[..., None, None], frame, out=frame)

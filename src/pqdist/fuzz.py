@@ -1,14 +1,22 @@
 """Seeded fuzz campaigns over the metric and minor inequalities.
 
-Trials are processed in fixed-size chunks; chunk c draws all its randomness
-from an independent Philox stream keyed (seed, c), so campaigns are
-bit-reproducible for a fixed seed regardless of how many worker threads run
-the chunks.  Aggregation keeps the violation count and the worst defect with
-the smallest trial index, both of which are order-independent reductions.
+A 512-trial draw block (``CHUNK_TRIALS``) is the stream key: block c draws
+all its randomness from an independent Philox stream keyed (seed, c), and is
+the unit handed to a worker thread, so campaigns are bit-reproducible for a
+fixed seed regardless of how many threads run the blocks.  Aggregation keeps
+the violation count and the worst defect with the smallest trial index, both
+of which are order-independent reductions.
 
-Each chunk runs sample -> kernel -> reduce and witness.  The kernels are the
+Each block runs sample -> kernel -> reduce and witness.  The kernels are the
 batched ones in ``checks`` that the scalar verifiers also run, so
-``reevaluate_witness`` re-checks a witness with the code that found it.
+``reevaluate_witness`` re-checks a witness with the code that found it.  A
+kernel slice is the unit of compute: a block's kernel runs over consecutive
+row slices of ``metric._slice_rows(width)`` rows, ``width`` being the
+kernel's elements per row (C(n,2) for the triangle and reduction kernels,
+C(n,3) for the others), so its temporaries stay near ``metric._BUDGET``
+elements whatever n is.  The slice size depends on n alone, and a kernel
+row's bits do not depend on how many rows share the call, so slicing leaves
+every report unchanged.
 
 Defect conventions per property (nonnegative means the property held):
 
@@ -27,6 +35,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +60,7 @@ from .checks import (
     triangle_defect,
 )
 from .exterior import Bivector, pair_indices
-from .metric import DistanceMatrix, pair_weights
+from .metric import DistanceMatrix, _slice_rows, pair_weights
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
@@ -202,6 +211,28 @@ def _m2l(m: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
+def _in_slices(kernel, width: int, *rows):
+    """Run ``kernel`` over consecutive row slices of ``rows`` and join its outputs.
+
+    ``width`` is the kernel's elements per row; every output has rows on axis 0.
+    """
+    step = _slice_rows(width)
+    parts = [kernel(*(r[s : s + step] for r in rows)) for s in range(0, len(rows[0]), step)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _pairs(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+def _triples(n: int) -> int:
+    return n * (n - 1) * (n - 2) // 6
+
+
 @dataclass
 class _ChunkOutcome:
     violations: int
@@ -234,8 +265,11 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     wts = pair_weights(mats, p)
 
+    def kernel(wt, a, b, c):
+        return _triangle_rows(wt, p, a, b, c)
+
     def norm_defect(a, b, c):
-        slack, dmax, d = _triangle_rows(wts, p, a, b, c)
+        slack, dmax, d = _in_slices(kernel, _pairs(n), wts, a, b, c)
         return slack / np.maximum(1.0, dmax), d
 
     defect, raw_d = norm_defect(x, y, z)
@@ -261,7 +295,7 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         "x": _c2l(rows[0][local]),
         "y": _c2l(rows[1][local]),
         "z": _c2l(rows[2][local]),
-        "distances": [float(d) for d in dists[:, local]],
+        "distances": [float(d) for d in dists[local]],
         "defect": worst,
     }
     return _ChunkOutcome(violations, worst, trial, witness)
@@ -289,7 +323,7 @@ def _witness_triple(cfg, a, u, v, w, local, trial, extra) -> dict:
 
 def _chunk_minorial(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    lower, upper = _minorial_rows(a, u, v, w)
+    lower, upper = _in_slices(_minorial_rows, _triples(cfg.n), a, u, v, w)
     violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, np.minimum(lower, upper), np.inf))
     extra = {"lower": float(lower[local]), "upper": float(upper[local]), "defect": worst}
     return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
@@ -301,16 +335,16 @@ _FUZZ_SHAPES = ("max", "min", "powersum")
 
 def _chunk_convexity(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    stacked = _convexity_rows(_FUZZ_SHAPES, a, u, v, w, cfg.p)
-    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, stacked.min(axis=0), np.inf))
-    fname = _FUZZ_SHAPES[int(stacked[:, local].argmin())]
+    stacked = _in_slices(partial(_convexity_rows, _FUZZ_SHAPES, p=cfg.p), _triples(cfg.n), a, u, v, w)
+    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, stacked.min(axis=-1), np.inf))
+    fname = _FUZZ_SHAPES[int(stacked[local].argmin())]
     extra = {"fname": fname, "p": float(cfg.p), "defect": worst}
     return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
 
 
 def _chunk_w1(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    lhs, rhs, residual = _w1_rows(a, u, v, w)
+    lhs, rhs, residual = _in_slices(_w1_rows, _triples(cfg.n), a, u, v, w)
     violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, -residual, np.inf))
     extra = {"lhs": float(lhs[local]), "rhs": float(rhs[local]), "residual": float(residual[local]), "defect": worst}
     return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
@@ -319,11 +353,11 @@ def _chunk_w1(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcom
 def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     rng = trial_rng(cfg.seed, chunk)
     n = cfg.n
-    npairs = n * (n - 1) // 2
+    npairs = _pairs(n)
     b = states_batch(rng, count, npairs)  # unit bivectors: unit vectors over the pairs
     v = states_batch(rng, count, n)
     mask = rng.random((count, npairs)) < 0.5
-    outer, inner = _projector_rows(b, v, mask)
+    outer, inner = _in_slices(_projector_rows, _triples(n), b, v, mask)
     violations, local, worst, trial = _worst(cfg, chunk, np.minimum(outer, inner))
     pi, pj = pair_indices(n)
     witness = {
@@ -349,7 +383,11 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     streams = _REDUCTION_STREAM_BASE + chunk * CHUNK_TRIALS + np.arange(count)
     draws = _subspace_draws(cfg.seed, streams, SUBSPACE_SAMPLES)
-    rows = _reduction_rows(pair_weights(mats, cfg.p), cfg.p, x, y, z, draws, cfg.tolerance)
+
+    def kernel(wts, x, y, z, draws):
+        return _reduction_rows(wts, cfg.p, x, y, z, draws, cfg.tolerance)
+
+    rows = _in_slices(kernel, _pairs(cfg.n), pair_weights(mats, cfg.p), x, y, z, draws)
     violations, local, worst, trial = _worst(cfg, chunk, _reduction_defect(*rows[1:], cfg.tolerance))
     rep = _reduction_report(rows, local, cfg.tolerance)
     witness = {

@@ -22,6 +22,7 @@ from .exterior import (
     ORTHO_INPUT_TOL,
     Bivector,
     _pair_of_vectors,
+    _row_sums,
     _wedge_basis,
     gram_deviation,
     minors2,
@@ -161,18 +162,28 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
     return ValidationResult(True, [], DistanceMatrix(a))
 
 
-# Elements of the (i, j, k) defect cube scanned at once; bounds the scan's memory.
-_SCAN_BLOCK = 1 << 16
+# Elements a blocked computation holds per step: a block of the triangle scan
+# below, a row slice of a campaign kernel (``fuzz``) and of a Euclidean
+# distance-matrix draw (``sampling``).  On campaigns at n = 16 to 64, 2^15
+# to 2^17 ran within 7% of each other with one thread; 2^14 took 18% and
+# 2^13 38% longer, and whole 512-trial chunks fault their temporaries in
+# afresh on every call.
+_BUDGET = 1 << 15
+
+
+def _slice_rows(width: int) -> int:
+    """Rows per step of a blocked computation holding ``width`` elements per row."""
+    return max(1, _BUDGET // width)
 
 
 def _triangle_hits(a: np.ndarray, triangle_tol: float):
     """Distinct (i, j, k) with E[i,k] > E[i,j] + E[j,k] + tol, in lexicographic order.
 
     The n^3 defect cube is built over blocks of i, so memory stays
-    O(max(n^2, _SCAN_BLOCK)); the scan stops when the caller stops iterating.
+    O(max(n^2, _BUDGET)); the scan stops when the caller stops iterating.
     """
     n = a.shape[0]
-    step = max(1, _SCAN_BLOCK // (n * n))
+    step = _slice_rows(n * n)
     jj, kk = np.ogrid[:n, :n]
     for start in range(0, n, step):
         rows = a[start : start + step]
@@ -256,7 +267,7 @@ def _dp_rows(wts: np.ndarray, p: float, x: np.ndarray, y: np.ndarray) -> np.ndar
     """d_p between the rows of x and y from pair weights E_ij^p: the one evaluator of d_p."""
     i, j = pair_indices(x.shape[-1])
     minors = minors2(x, y, i, j)  # bit-antisymmetric, so d is bit-symmetric
-    s = (wts * (minors.real**2 + minors.imag**2)).sum(axis=-1)
+    s = _row_sums(wts * (minors.real**2 + minors.imag**2))
     return np.maximum(s, 0.0) ** (1.0 / p)
 
 
@@ -349,4 +360,6 @@ def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
     b = np.sqrt(wts)[..., :, None] * w.swapaxes(-1, -2)
     _, svals, vh = np.linalg.svd(b, full_matrices=False)
     u = np.conj(vh[..., ::-1, :])
-    return svals[..., ::-1], u, u @ w
+    # A contiguous copy: numpy raises a lone reversed row to a power with
+    # another routine than a stack of them, which can differ in the last bit.
+    return np.ascontiguousarray(svals[..., ::-1]), u, u @ w

@@ -8,9 +8,14 @@ from pqdist.exterior import Bivector, interior_product, wedge2, wedge3
 from pqdist.fuzz import TrialConfig, _l2c, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
+    _convexity_rows,
+    _minorial_rows,
+    _projector_rows,
     _reduction_report,
     _reduction_rows,
     _subspace_draws,
+    _triangle_rows,
+    _w1_rows,
     check_convexity,
     check_generator_identity_w1,
     check_minorial,
@@ -21,11 +26,15 @@ from pqdist.checks import (
     triangle_defect,
 )
 from pqdist.sampling import (
+    _orthonormalize_triples,
+    distance_matrices_batch,
+    pair_weights_batch,
     sample_distance_matrix,
     sample_orthonormal_triple,
     sample_pure_state,
     sample_symmetric_weights,
     sample_unit_bivector_coeffs,
+    states_batch,
     trial_rng,
 )
 
@@ -380,3 +389,51 @@ class TestTriangleDefect:
         cyclic = min(dxz + dyz - dxy, dxy + dyz - dxz, dxy + dxz - dyz)
         assert d == pytest.approx(cyclic, abs=1e-15)
         assert dmax == max(dxy, dxz, dyz)
+
+
+def _kernel_case(name, n, count):
+    """A batched kernel of ``checks`` as a function of a row slice, over ``count`` seeded rows."""
+    rng = trial_rng(77, n)
+    x, y, z = (states_batch(rng, count, n) for _ in range(3))
+    u, v, w, _ = _orthonormalize_triples(x, y, z)
+    a = pair_weights_batch(rng, count, n, "uniform")
+    wts = pair_weights(distance_matrices_batch(rng, count, n, "euclidean-points"), 2.5)
+    if name == "triangle":
+        return lambda s: _triangle_rows(wts[s], 2.5, x[s], y[s], z[s])
+    if name == "minorial":
+        return lambda s: _minorial_rows(a[s], u[s], v[s], w[s])
+    if name == "convexity":
+        return lambda s: _convexity_rows(("max", "min", "sum", "powersum"), a[s], u[s], v[s], w[s], 3.0)
+    if name == "w1":
+        return lambda s: _w1_rows(a[s], u[s], v[s], w[s])
+    if name == "projector":
+        b = states_batch(rng, count, n * (n - 1) // 2)
+        mask = rng.random(b.shape) < 0.5
+        return lambda s: _projector_rows(b[s], x[s], mask[s])
+    draws = _subspace_draws(77, range(count), 4)
+    return lambda s: _reduction_rows(wts[s], 2.5, x[s], y[s], z[s], draws[s].copy(), 1e-9)
+
+
+_KERNEL_CASES = [
+    (name, n) for name in ("triangle", "minorial", "convexity", "w1", "projector") for n in (3, 4, 6, 10, 16, 24)
+] + [("reduction", 3), ("reduction", 6)]
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("name,n", _KERNEL_CASES)
+    def test_rows_do_not_depend_on_call_size(self, name, n):
+        # campaigns run each chunk's kernel over row slices, and verifiers run
+        # it on one row: every row must get the bits of the whole-chunk call
+        count = 512
+        kernel = _kernel_case(name, n, count)
+
+        def rows(s):
+            out = kernel(s)
+            return out if isinstance(out, tuple) else (out,)
+
+        whole = rows(slice(0, count))
+        for size, stop in ((1, 40), (2, 80), (37, count)):
+            for start in range(0, stop, size):
+                part = rows(slice(start, min(start + size, count)))
+                for got, want in zip(part, whole):
+                    assert np.array_equal(got, want[start : start + size], equal_nan=True), (size, start)

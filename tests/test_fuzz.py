@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pqdist import metric
 from pqdist.fuzz import (
+    _KERNELS,
     CHUNK_TRIALS,
     PROPERTIES,
     TrialConfig,
@@ -107,6 +110,9 @@ class TestAllProperties:
             ("triangle", TrialConfig(n=6, p=2.5, trials=2_000, seed=3)),
             ("projector", TrialConfig(n=5, p=2.0, trials=2_000, seed=3)),
             ("reduction", TrialConfig(n=6, p=2.0, trials=600, seed=21)),
+            ("triangle", TrialConfig(n=16, p=2.5, trials=1024, seed=5)),
+            ("projector", TrialConfig(n=12, p=2.0, trials=1024, seed=3)),
+            ("projector", TrialConfig(n=24, p=2.0, trials=512, seed=3)),
         ],
     )
     def test_witness_reevaluates_bitwise(self, prop, cfg):
@@ -141,6 +147,51 @@ class TestAllProperties:
     def test_witness_trial_index_in_range(self):
         rep = run_fuzz("projector", TrialConfig(n=4, p=2.0, trials=700, seed=6))
         assert 0 <= rep.witness["trial"] < 700
+
+
+def _width(prop: str, n: int) -> int:
+    """Elements per row of the property's kernel."""
+    pairs = n * (n - 1) // 2
+    return pairs if prop in ("triangle", "reduction") else pairs * (n - 2) // 3
+
+
+class TestKernelSlices:
+    @pytest.mark.parametrize(
+        "prop,cfg",
+        [
+            ("triangle", TrialConfig(n=10, p=2.5, trials=600, seed=8)),
+            ("minorial", TrialConfig(n=10, p=2.0, trials=600, seed=8)),
+            ("convexity", TrialConfig(n=10, p=3.0, trials=600, seed=8)),
+            ("projector", TrialConfig(n=10, p=2.0, trials=600, seed=8)),
+            ("w1", TrialConfig(n=10, p=2.0, trials=600, seed=8)),
+            ("reduction", TrialConfig(n=6, p=2.0, trials=40, seed=8)),
+            ("minorial", TrialConfig(n=24, p=2.0, trials=512, seed=9)),
+            ("triangle", TrialConfig(n=32, p=2.5, trials=512, seed=9, matrix_mode="repaired-random")),
+        ],
+    )
+    def test_slicing_is_invisible(self, monkeypatch, prop, cfg):
+        # one-row kernel calls give the report of the default slices
+        if cfg.n >= 24:
+            assert metric._slice_rows(_width(prop, cfg.n)) < CHUNK_TRIALS  # the default run slices
+        default = scrubbed(run_fuzz(prop, cfg, threads=1))
+        monkeypatch.setattr(metric, "_BUDGET", 1)
+        assert scrubbed(run_fuzz(prop, cfg, threads=1)) == default
+
+    @pytest.mark.parametrize(
+        "prop,n,mib",
+        [("minorial", 32, 16), ("w1", 32, 16), ("triangle", 64, 48)],
+    )
+    def test_chunk_memory_stays_small(self, prop, n, mib):
+        # a chunk's temporaries are bounded by the slice budget, not by
+        # CHUNK_TRIALS x C(n, 3) elements (hundreds of MiB at n=32)
+        cfg = TrialConfig(n=n, p=2.0, trials=CHUNK_TRIALS, seed=1)
+        tracemalloc.start()
+        try:
+            _KERNELS[prop](cfg, None, 0, CHUNK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 class TestValidationErrors:
