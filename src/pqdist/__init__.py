@@ -14,10 +14,7 @@ from .exterior import (
     Bivector,
     Trivector,
     cross3,
-    gram_schmidt,
-    hodge_basis,
     inner,
-    interior_product,
     wedge2,
     wedge3,
 )
@@ -25,13 +22,11 @@ from .metric import (
     DistanceMatrix,
     DistanceMatrixError,
     DpMetric,
-    EigenTriple,
     d2,
     d_hs,
     d_p,
     dp_from_weights,
     embed,
-    restricted_form_eigen,
     spectral_condition_n3,
     validate_distance_matrix,
 )
@@ -62,13 +57,9 @@ __all__ = [
     "wedge2",
     "wedge3",
     "cross3",
-    "gram_schmidt",
-    "interior_product",
-    "hodge_basis",
     "DistanceMatrix",
     "DistanceMatrixError",
     "DpMetric",
-    "EigenTriple",
     "validate_distance_matrix",
     "d_hs",
     "d_p",
@@ -76,7 +67,6 @@ __all__ = [
     "dp_from_weights",
     "spectral_condition_n3",
     "embed",
-    "restricted_form_eigen",
     "Counterexample",
     "check_minorial",
     "check_projector_inequality",

@@ -14,20 +14,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
 from . import fileio
 from .checks import counterexample_p_lt_2
 from .fuzz import PROPERTIES, TrialConfig, run_fuzz
-from .metric import (
-    DistanceMatrix,
-    DpMetric,
-    d_hs,
-    d_p,
-    embed,
-    validate_distance_matrix,
-)
+from .metric import DpMetric, d_hs, d_p, embed, validate_distance_matrix
 from .sampling import MATRIX_MODES
 
 USAGE_ERROR = 2
@@ -65,8 +56,8 @@ def cmd_dist(args) -> int:
         y = fileio.load_state(args.y)
     except (OSError, ValueError, json.JSONDecodeError) as ex:
         return _fail(USAGE_ERROR, str(ex))
-    if not (args.p > 0):
-        return _fail(USAGE_ERROR, "p must be positive")
+    if not (0 < args.p < math.inf):
+        return _fail(USAGE_ERROR, "p must be positive and finite")
     if args.p < 2:
         print(f"warning: p={args.p:g} < 2 is not guaranteed to be a metric", file=sys.stderr)
     if x.size != result.matrix.n or y.size != result.matrix.n:
@@ -101,15 +92,12 @@ def _config_from_args(args, base: dict) -> TrialConfig:
     }
     if merged["n"] is None:
         raise ValueError("the dimension --n is required (flag or config file)")
-    return TrialConfig.from_dict(merged)
+    return TrialConfig.from_dict(merged, args.config or "trial config")
 
 
 def cmd_fuzz(args) -> int:
     try:
-        base = {}
-        if args.config:
-            with open(args.config) as fh:
-                base = json.load(fh)
+        base = fileio.load_object(args.config) if args.config else {}
         matrix = None
         if args.matrix:
             raw = fileio.load_matrix(args.matrix)
@@ -171,6 +159,8 @@ def _fmt_state(v) -> str:
 
 
 def cmd_embed(args) -> int:
+    if not (0 < args.p < math.inf):
+        return _fail(USAGE_ERROR, "p must be positive and finite")
     try:
         raw = fileio.load_matrix(args.matrix)
     except (OSError, ValueError, json.JSONDecodeError) as ex:

@@ -8,10 +8,11 @@ coefficient sums obey the Lagrange identity and, for orthonormal families,
 the Cauchy-Binet normalization (the squared minors sum to 1).
 
 ``minors2``, ``_minors3`` (behind ``wedge3``), ``_wedge_bv_coeffs`` (behind
-``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, and
-``_wedge_basis`` and ``_hodge_frame`` (behind ``hodge_basis``) over stacks of
-3-row bases, so one input and a stack of them share one formula; the batched
-kernels in ``checks``, ``metric`` and ``optimize`` call them directly.
+``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, so
+one input and a stack of them share one formula.  ``_wedge_basis`` and
+``_hodge_frame`` work over stacks of 3-row bases only; a single basis is a
+stack of one.  The batched kernels in ``checks``, ``metric`` and
+``optimize`` call these directly.
 
 Each row of a stacked result equals, bit for bit, the result for that row
 alone, whatever the number of rows, so row slices of a stack give the bits
@@ -45,17 +46,12 @@ __all__ = [
     "wedge3",
     "wedge_bv",
     "cross3",
-    "gram_schmidt",
-    "interior_product",
-    "hodge_basis",
-    "gram_matrix",
     "gram_deviation",
 ]
 
 # Gate for orthonormality of *inputs*; outputs of the constructions below are
 # tested against the tighter 1e-10 budget.
 ORTHO_INPUT_TOL = 1e-8
-DEFLATION_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -130,14 +126,6 @@ class Bivector:
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
-
-    def as_matrix(self) -> np.ndarray:
-        """Full antisymmetric n x n coefficient matrix."""
-        i, j = pair_indices(self.n)
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[i, j] = self.coeffs
-        m[j, i] = -self.coeffs
-        return m
 
 
 @dataclass(frozen=True)
@@ -261,132 +249,10 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def gram_matrix(vectors) -> np.ndarray:
-    vs = [_vector(v) for v in vectors]
-    m = len(vs)
-    g = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            g[a, b] = np.vdot(vs[a], vs[b])
-    return g
-
-
 def gram_deviation(vectors) -> float:
     """Max absolute deviation of the Gram matrix from the identity."""
-    g = gram_matrix(vectors)
-    return float(np.abs(g - np.eye(g.shape[0])).max())
-
-
-def _project_out(u: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    # Two sequential re-projection passes for stability near dependence.
-    for _ in range(2):
-        for q in basis:
-            u = u - np.vdot(q, u) * q
-    return u
-
-
-def gram_schmidt(vectors, complete_to: int | None = None, *, drop_tol: float = DEFLATION_TOL):
-    """Orthonormalize a list of vectors (modified Gram-Schmidt, two passes).
-
-    Vectors whose residual after projection falls below ``drop_tol`` are
-    dropped, so dependent inputs yield a smaller output.  With
-    ``complete_to=k`` the basis is padded using whichever canonical basis
-    vectors have the largest residual, until it has k elements.
-    """
-    vs = [_vector(v) for v in vectors]
-    if not vs:
-        raise ValueError("gram_schmidt needs at least one vector")
-    n = vs[0].size
-    for v in vs:
-        if v.size != n:
-            raise ValueError("gram_schmidt inputs must share one dimension")
-
-    basis: list[np.ndarray] = []
-    for v in vs:
-        u = _project_out(v.copy(), basis)
-        nrm = np.linalg.norm(u)
-        if nrm >= drop_tol:
-            basis.append(u / nrm)
-
-    if complete_to is not None:
-        if complete_to > n:
-            raise ValueError(f"cannot span {complete_to} dimensions inside C^{n}")
-        while len(basis) < complete_to:
-            best, best_norm = None, -1.0
-            for k in range(n):
-                e = np.zeros(n, dtype=complex)
-                e[k] = 1.0
-                u = _project_out(e, basis)
-                nrm = np.linalg.norm(u)
-                if nrm > best_norm:
-                    best, best_norm = u, nrm
-            if best is None or best_norm < drop_tol:
-                raise ValueError("basis completion failed")
-            basis.append(best / best_norm)
-    return basis
-
-
-def interior_product(w, omega):
-    """Contraction of a multivector by a vector, lowering the grade by one.
-
-    On a simple product the contraction expands as the alternating sum of
-    <w|v_i> times the product with v_i removed; in coefficients this is
-    u_j = sum_i conj(w_i) B_ij for a bivector and C_jk = sum_i conj(w_i) T_ijk
-    for a trivector.  Satisfies |w ^ O|^2 = |w|^2 |O|^2 - |w . O|^2.
-    """
-    wv = _vector(w)
-    cw = np.conj(wv)
-    if isinstance(omega, Bivector):
-        if omega.n != wv.size:
-            raise ValueError(f"dimension mismatch: {omega.n} vs {wv.size}")
-        return cw @ omega.as_matrix()
-    if isinstance(omega, Trivector):
-        n = omega.n
-        if n != wv.size:
-            raise ValueError(f"dimension mismatch: {n} vs {wv.size}")
-        ti, tj, tk, pij, pik, pjk = triple_indices(n)
-        out = np.zeros(n * (n - 1) // 2, dtype=complex)
-        t = omega.coeffs
-        np.add.at(out, pjk, cw[ti] * t)
-        np.add.at(out, pik, -cw[tj] * t)
-        np.add.at(out, pij, cw[tk] * t)
-        return Bivector(n, out)
-    raise TypeError("interior_product expects a Bivector or Trivector")
-
-
-def hodge_basis(b1: Bivector, b2: Bivector, b3: Bivector, v_basis, *, tol: float = ORTHO_INPUT_TOL):
-    """Realize an orthonormal bivector triple as wedges of an orthonormal frame.
-
-    Given an orthonormal basis {v1, v2, v3} of a 3-dimensional subspace V and
-    an orthonormal triple {b1, b2, b3} inside the wedge square of V, returns
-    orthonormal vectors {f1, f2, f3} in V with
-
-        f2 ^ f3 = b1,   f3 ^ f1 = b2,   f1 ^ f2 = b3.
-
-    The triple {b_l} expands over the wedge basis {v2^v3, v3^v1, v1^v2} with a
-    unitary coefficient matrix U; the frame is f_l = c sum_m conj(U_lm) v_m
-    with c a square root of det U (see ``_hodge_frame``).
-    """
-    vs = [_vector(v) for v in v_basis]
-    if len(vs) != 3:
-        raise ValueError("hodge_basis needs exactly three basis vectors")
-    n = vs[0].size
-    for b in (b1, b2, b3):
-        if b.n != n:
-            raise ValueError("bivector dimension does not match the basis")
-    if gram_deviation(vs) > tol:
-        raise ValueError("basis vectors are not orthonormal")
-
-    v = np.stack(vs)
-    w = _wedge_basis(v)
-    bs = np.stack([b1.coeffs, b2.coeffs, b3.coeffs])
-    u = bs @ np.conj(w).T
-    if np.abs(bs - u @ w).max() > tol:
-        raise ValueError("bivector is not contained in the wedge square of the basis span")
-    if np.abs(u @ u.conj().T - np.eye(3)).max() > tol:
-        raise ValueError("bivector triple is not orthonormal")
-    frame = _hodge_frame(u, v)
-    return [frame[0], frame[1], frame[2]]
+    v = np.stack([_vector(x) for x in vectors])
+    return float(np.abs(np.conj(v) @ v.T - np.eye(len(v))).max())
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:

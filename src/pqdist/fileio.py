@@ -3,17 +3,22 @@
 Floats are serialized with Python's shortest round-trip representation, so
 parse(serialize(x)) == x holds exactly and identically seeded runs produce
 byte-identical files.  Reports are strict JSON: ``write_report`` refuses NaN
-and Infinity, which a report body carries as null.
+and Infinity, which a report body carries as null.  Loaders check the shape
+of a document before they use it: a document that is not an object, or a key
+that is missing or of the wrong JSON type, raises ValueError naming the file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
 __all__ = [
+    "load_object",
+    "get_field",
     "load_matrix",
     "save_matrix",
     "load_state",
@@ -23,6 +28,44 @@ __all__ = [
     "matrix_to_dict",
     "state_to_dict",
 ]
+
+
+_REQUIRED = object()
+# JSON types accepted for each Python type a field converts to.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def load_object(path) -> dict:
+    """Parse a JSON file whose document must be an object."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def get_field(doc: dict, key: str, kind: type, where, default=_REQUIRED):
+    """``doc[key]`` converted to ``kind`` (int, float, str or list), or ``default`` if absent.
+
+    A missing key without a default, or a value of another JSON type, raises
+    ValueError naming ``where``.
+    """
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    return kind(value)
+
+
+def _number_rows(doc: dict, key: str, path) -> np.ndarray:
+    """``doc[key]`` as a float array; it must be a list of lists of numbers."""
+    rows = get_field(doc, key, list, path)
+    if not all(type(r) is list for r in rows) or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError(f"{path}: key {key!r} must be a list of lists of numbers")
+    return np.asarray(rows, dtype=float)
 
 
 def matrix_to_dict(entries) -> dict:
@@ -39,10 +82,9 @@ def save_matrix(path, entries) -> None:
 def load_matrix(path) -> np.ndarray:
     """Parse a matrix file; shape and finiteness are enforced here, the metric
     axioms are left to validate_distance_matrix."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = int(doc["n"])
-    a = np.asarray(doc["entries"], dtype=float)
+    doc = load_object(path)
+    n = get_field(doc, "n", int, path)
+    a = _number_rows(doc, "entries", path)
     if a.shape != (n, n):
         raise ValueError(f"{path}: declared n={n} but entries have shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -62,10 +104,9 @@ def save_state(path, vec) -> None:
 
 
 def load_state(path, *, norm_tol: float = 1e-9) -> np.ndarray:
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = int(doc["n"])
-    amps = np.asarray(doc["amplitudes"], dtype=float)
+    doc = load_object(path)
+    n = get_field(doc, "n", int, path)
+    amps = _number_rows(doc, "amplitudes", path)
     if amps.shape != (n, 2):
         raise ValueError(f"{path}: declared n={n} but got {amps.shape[0]} amplitude pairs")
     v = amps[:, 0] + 1j * amps[:, 1]

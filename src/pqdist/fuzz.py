@@ -60,12 +60,14 @@ from .checks import (
     triangle_defect,
 )
 from .exterior import Bivector, pair_indices
-from .metric import DistanceMatrix, _slice_rows, pair_weights
+from .fileio import get_field
+from .metric import DistanceMatrix, _check_exponent, _slice_rows, pair_weights
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
     _symmetric_from_pairs,
     distance_matrices_batch,
+    orthonormal_triples_batch,
     pair_weights_batch,
     states_batch,
     trial_rng,
@@ -109,14 +111,17 @@ class TrialConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrialConfig":
+    def from_dict(cls, d: dict, where: str = "trial config") -> "TrialConfig":
+        """Config from a JSON object; a missing or mistyped field raises ValueError naming ``where``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
         return cls(
-            n=int(d["n"]),
-            p=float(d["p"]),
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            matrix_mode=d.get("matrix_mode", "euclidean-points"),
-            tolerance=float(d.get("tolerance", 1e-9)),
+            n=get_field(d, "n", int, where),
+            p=get_field(d, "p", float, where),
+            trials=get_field(d, "trials", int, where),
+            seed=get_field(d, "seed", int, where),
+            matrix_mode=get_field(d, "matrix_mode", str, where, "euclidean-points"),
+            tolerance=get_field(d, "tolerance", float, where, 1e-9),
         )
 
 
@@ -179,10 +184,9 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
         raise ValueError("trials must be >= 1")
     if cfg.n < 2:
         raise ValueError("dimension must be >= 2")
-    if not (cfg.tolerance > 0):
-        raise ValueError("tolerance must be positive")
-    if not (cfg.p > 0):
-        raise ValueError("exponent p must be positive")
+    if not (0 < cfg.tolerance < math.inf):
+        raise ValueError("tolerance must be positive and finite")
+    _check_exponent(cfg.p)
     if prop in ("minorial", "convexity", "projector", "reduction", "w1") and cfg.n < 3:
         raise ValueError(f"property {prop!r} needs dimension >= 3")
     if prop == "convexity" and cfg.p < 2:
@@ -303,7 +307,7 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
 
 def _ortho_weight_batch(cfg: TrialConfig, chunk: int, count: int):
     rng = trial_rng(cfg.seed, chunk)
-    u, v, w, ok = _orthonormalize_triples(*(states_batch(rng, count, cfg.n) for _ in range(3)))
+    u, v, w, ok = orthonormal_triples_batch(rng, count, cfg.n)
     mode = "zero-one" if cfg.matrix_mode == "zero-one" else "uniform"
     a = pair_weights_batch(rng, count, cfg.n, mode)
     return u, v, w, ok, a

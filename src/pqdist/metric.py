@@ -6,28 +6,25 @@ satisfying the triangle inequality) defines, for every exponent p > 0,
     d_p(x, y) = ( sum_{i<j} E_ij^p |x_i y_j - x_j y_i|^2 )^(1/p)
 
 on unit vectors x, y.  This is a genuine metric exactly when p >= 2; the
-evaluators below accept any p > 0 so that the failing regime can be probed.
+evaluators below accept any finite p > 0 so that the failing regime can be
+probed.
 The Hilbert-Schmidt distance sqrt(1 - |<x|y>|^2) is the special case p = 2
 with all off-diagonal entries equal to 1.
+
+Each object has one evaluator over stacks of rows: ``_dp_rows`` for d_p on
+pair weights E_ij^p, and ``_restricted_form_rows`` for the pair-weight form
+restricted to the wedge square of a 3-space.  The public evaluators gate
+their inputs and run them on one row; the ``checks`` kernels run them on
+whole chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .exterior import (
-    ORTHO_INPUT_TOL,
-    Bivector,
-    _pair_of_vectors,
-    _row_sums,
-    _wedge_basis,
-    gram_deviation,
-    minors2,
-    pair_indices,
-)
+from .exterior import _pair_of_vectors, _row_sums, _wedge_basis, minors2, pair_indices
 
 __all__ = [
     "DistanceMatrix",
@@ -37,7 +34,6 @@ __all__ = [
     "validate_distance_matrix",
     "shortest_path_closure",
     "DpMetric",
-    "EigenTriple",
     "d_hs",
     "d_p",
     "d2",
@@ -45,8 +41,6 @@ __all__ = [
     "pair_weights",
     "spectral_condition_n3",
     "embed",
-    "restricted_form_eigen",
-    "apply_pair_weights",
 ]
 
 TRIANGLE_SLACK = 1e-12
@@ -204,14 +198,6 @@ def shortest_path_closure(w) -> np.ndarray:
     return d
 
 
-class EigenTriple(NamedTuple):
-    """Square roots of the eigenvalues of the restricted pair-weight form, ascending."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-
-
 @dataclass(frozen=True)
 class DpMetric:
     """A distance matrix paired with the exponent p of its induced metric."""
@@ -220,12 +206,16 @@ class DpMetric:
     p: float
 
     def __post_init__(self):
-        if not (self.p > 0):
-            raise ValueError("exponent p must be positive")
+        _check_exponent(self.p)
 
     @property
     def metric_guaranteed(self) -> bool:
         return self.p >= 2
+
+
+def _check_exponent(p: float) -> None:
+    if not (0 < p < np.inf):
+        raise ValueError(f"exponent p must be positive and finite, got {p!r}")
 
 
 def d_hs(x, y) -> float:
@@ -254,8 +244,7 @@ def dp_from_weights(entries, p: float, x, y) -> float:
 
 def _dp_inputs(entries, p: float, x, y):
     """Input gates of the d_p evaluators; returns (pair weights E_ij^p, x, y)."""
-    if not (p > 0):
-        raise ValueError("exponent p must be positive")
+    _check_exponent(p)
     xv, yv = _pair_of_vectors(x, y)
     a = np.asarray(entries, dtype=float)
     if a.shape[0] != xv.size:
@@ -307,41 +296,6 @@ def embed(rho: DistanceMatrix, p: float):
                     f"embedding round-trip failed at ({i},{j}): {got!r} vs {rho.entries[i,j]!r}"
                 )
     return states, metric
-
-
-def apply_pair_weights(entries, power: float, b: Bivector) -> Bivector:
-    """Multiply each bivector coefficient by the matching entry power.
-
-    This is the pair-diagonal operator action: the basis wedge e_i ^ e_j is
-    scaled by E_ij^power, so no large matrix is ever materialized.
-    """
-    w = pair_weights(entries, power)
-    if w.size != b.coeffs.size:
-        raise ValueError("weight matrix does not match the bivector dimension")
-    return Bivector(b.n, w * b.coeffs)
-
-
-def restricted_form_eigen(e, p: float, v_basis, *, tol: float = ORTHO_INPUT_TOL):
-    """Diagonalize the pair-weight form restricted to the wedge square of a 3-space.
-
-    ``v_basis`` must be three orthonormal vectors spanning V.  The Hermitian
-    3x3 matrix H_ab = <W_a | E^p W_b> over the wedge basis
-    {v2^v3, v3^v1, v1^v2} is diagonalized through the singular values of
-    its weighted wedge matrix (see ``_restricted_form_rows``);
-    returns (EigenTriple of sqrt-eigenvalues in ascending order, the matching
-    orthonormal eigen-bivectors).
-    """
-    entries = e.entries if isinstance(e, DistanceMatrix) else np.asarray(e, dtype=float)
-    vs = [np.asarray(v, dtype=complex) for v in v_basis]
-    if len(vs) != 3:
-        raise ValueError("restricted_form_eigen needs exactly three basis vectors")
-    if gram_deviation(vs) > tol:
-        raise ValueError("basis vectors are not orthonormal")
-    n = vs[0].size
-    if entries.shape[0] != n:
-        raise ValueError(f"dimension mismatch: matrix is {entries.shape[0]}, basis is {n}")
-    mus, _, bs = _restricted_form_rows(pair_weights(entries, p), np.stack(vs))
-    return EigenTriple(*(float(m) for m in mus)), [Bivector(n, c) for c in bs]
 
 
 def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):

@@ -96,8 +96,8 @@ def minimize_defect_n3(
         raise ValueError("expected exactly three diagonal weights")
     if np.any(lam <= 0):
         raise ValueError("weights must be positive")
-    if p < 2:
-        raise ValueError("the minimizer covers the metric regime p >= 2 only")
+    if not (2 <= p < np.inf):
+        raise ValueError(f"the minimizer covers finite exponents p >= 2 only, got {p!r}")
     if restarts < 3:
         raise ValueError("needs at least the three canonical restarts")
 

@@ -22,7 +22,6 @@ __all__ = [
     "sample_orthonormal_triple",
     "sample_distance_matrix",
     "sample_symmetric_weights",
-    "sample_unit_bivector_coeffs",
     "states_batch",
     "orthonormal_triples_batch",
     "distance_matrices_batch",
@@ -117,11 +116,6 @@ def pair_weights_batch(rng: np.random.Generator, count: int, n: int, mode: str) 
     if mode == "uniform":
         return rng.random((count, npairs))
     raise ValueError(f"unknown weight mode {mode!r}; expected 'uniform' or 'zero-one'")
-
-
-def sample_unit_bivector_coeffs(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-norm Gaussian coefficients over the n(n-1)/2 pairs (generically non-simple), drawn as a state."""
-    return states_batch(rng, 1, n * (n - 1) // 2)[0]
 
 
 def states_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

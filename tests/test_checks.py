@@ -3,9 +3,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import basis
-from pqdist.exterior import Bivector, interior_product, wedge2, wedge3
-from pqdist.fuzz import TrialConfig, _l2c, run_fuzz
+from conftest import basis, interior_product
+from pqdist.exterior import Bivector, wedge2, wedge3
+from pqdist.fuzz import TrialConfig, _l2c, reevaluate_witness, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
     _convexity_rows,
@@ -33,7 +33,6 @@ from pqdist.sampling import (
     sample_orthonormal_triple,
     sample_pure_state,
     sample_symmetric_weights,
-    sample_unit_bivector_coeffs,
     states_batch,
     trial_rng,
 )
@@ -45,6 +44,11 @@ def zero_one_weights(n, mask, pairs):
         if mask >> b & 1:
             a[i, j] = a[j, i] = 1.0
     return a
+
+
+def unit_bivector(n, rng):
+    # unit coefficients over the n(n-1)/2 pairs (generically non-simple), drawn as a state
+    return states_batch(rng, 1, n * (n - 1) // 2)[0]
 
 
 def brute_pair_sum(a, x, y):
@@ -131,7 +135,7 @@ class TestProjector:
     def test_full_mask_reduces_to_interior_identity(self):
         rng = trial_rng(7)
         n = 5
-        b = Bivector(n, sample_unit_bivector_coeffs(n, rng))
+        b = Bivector(n, unit_bivector(n, rng))
         v = sample_pure_state(n, rng)
         d = check_projector_inequality(list(combinations(range(n), 2)), b, v)
         # outer gap equals the squared norm of the contraction of B by v
@@ -140,7 +144,7 @@ class TestProjector:
 
     def test_empty_mask_vanishes(self):
         rng = trial_rng(8)
-        b = Bivector(4, sample_unit_bivector_coeffs(4, rng))
+        b = Bivector(4, unit_bivector(4, rng))
         d = check_projector_inequality([], b, sample_pure_state(4, rng))
         assert d.outer == 0.0 and d.inner == 0.0
 
@@ -148,7 +152,7 @@ class TestProjector:
         rng = trial_rng(9)
         n = 5
         for _ in range(500):
-            b = Bivector(n, sample_unit_bivector_coeffs(n, rng))
+            b = Bivector(n, unit_bivector(n, rng))
             v = sample_pure_state(n, rng)
             s = [pr for pr in combinations(range(n), 2) if rng.random() < 0.5]
             d = check_projector_inequality(s, b, v)
@@ -160,6 +164,17 @@ class TestProjector:
             check_projector_inequality([(0, 5)], b, basis(4, 0))
         with pytest.raises(ValueError, match="repeats"):
             check_projector_inequality([(1, 1)], b, basis(4, 0))
+
+    def test_rejects_malformed_pairs(self):
+        # both were once read as the pair (0, 1); witness files reach this gate
+        b = Bivector(4, np.zeros(6))
+        for bad in ([(0, 1, 2)], [(0.7, 1.9)], [(0,)]):
+            with pytest.raises(ValueError, match="two integer indices"):
+                check_projector_inequality(bad, b, basis(4, 0))
+        witness = run_fuzz("projector", TrialConfig(n=4, p=2.0, trials=20, seed=1)).witness
+        reevaluate_witness("projector", witness)
+        with pytest.raises(ValueError, match="two integer indices"):
+            reevaluate_witness("projector", {**witness, "pairs": [[0.7, 1.9]]})
 
 
 class TestConvexity:

@@ -97,6 +97,40 @@ class TestDist:
         assert main(["dist", files["valid"], str(bad), files["e2"]]) == 2
 
 
+class TestMalformedInputFiles:
+    """A file whose document is not an object, or lacks a key or mistypes it, exits 2."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_validate_matrix_without_n(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"entries": [[0, 1], [1, 0]]})
+        assert main(["validate", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_validate_top_level_list(self, tmp_path, capsys):
+        path = self.write(tmp_path, [[0, 1], [1, 0]])
+        assert main(["validate", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_dist_state_without_n(self, files, tmp_path, capsys):
+        path = self.write(tmp_path, {"amplitudes": [[1, 0], [0, 0]]})
+        assert main(["dist", files["valid"], path, files["e2"]]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_fuzz_config_list(self, tmp_path, capsys):
+        path = self.write(tmp_path, [{"property": "triangle", "n": 3}])
+        assert main(["fuzz", "--config", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_fuzz_config_mistyped_n(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"property": "triangle", "n": [3]})
+        assert main(["fuzz", "--config", path]) == 2
+        assert path in capsys.readouterr().err
+
+
 class TestFuzz:
     def test_clean_triangle_run(self, files, capsys):
         out = str(files["tmp"] / "rep.json")
@@ -231,6 +265,11 @@ class TestEmbed:
 
     def test_small_p_exit_one(self, files):
         assert main(["embed", files["triple"], "--p", "1.5", "--out", str(files["tmp"] / "x")]) == 1
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "0"])
+    def test_non_finite_or_nonpositive_p_exit_two(self, files, p):
+        assert main(["embed", files["triple"], "--p", p, "--out", str(files["tmp"] / "x")]) == 2
+        assert main(["dist", files["valid"], files["e1"], files["e2"], "--p", p]) == 2
 
     def test_invalid_metric_exit_one(self, files):
         assert main(["embed", files["broken"], "--p", "2", "--out", str(files["tmp"] / "y")]) == 1

@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basis, complex_vector, unit_vector
+from conftest import basis, complex_vector, interior_product, orthonormal_basis, unit_vector
 from pqdist.exterior import (
     Bivector,
+    _hodge_frame,
+    _wedge_basis,
     cross3,
     gram_deviation,
-    gram_schmidt,
-    hodge_basis,
     inner,
-    interior_product,
     minors2,
     pair_indices,
     wedge2,
     wedge3,
     wedge_bv,
 )
+from pqdist.sampling import _orthonormalize_triples
 
 
 class TestInner:
@@ -128,7 +128,7 @@ class TestWedge3:
             assert wedge3(x, y, z).norm_sq() == pytest.approx(want, rel=1e-10)
 
     def test_orthonormal_triple_normalizes(self, rng):
-        vs = gram_schmidt([complex_vector(rng, 4) for _ in range(3)])
+        vs = orthonormal_basis(rng, 4)
         assert wedge3(*vs).norm_sq() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -189,39 +189,37 @@ class TestCross3:
 
 
 class TestGramSchmidt:
+    """The one Gram-Schmidt left: ``sampling._orthonormalize_triples``, two passes over stacked rows."""
+
+    def orthonormalize(self, x, y, z):
+        u, v, w, ok = _orthonormalize_triples(*(np.asarray(a, dtype=complex)[None] for a in (x, y, z)))
+        return [u[0], v[0], w[0]], bool(ok[0])
+
     def test_orthonormal_input_unchanged(self):
-        out = gram_schmidt([basis(3, 0), basis(3, 1)])
-        assert np.array_equal(out[0], basis(3, 0))
-        assert np.array_equal(out[1], basis(3, 1))
+        out, ok = self.orthonormalize(basis(3, 0), basis(3, 1), basis(3, 2))
+        assert ok
+        for k in range(3):
+            assert np.array_equal(out[k], basis(3, k))
 
     def test_single_projection_step(self):
-        out = gram_schmidt([basis(3, 0), basis(3, 0) + basis(3, 1)])
-        assert np.allclose(out[1], basis(3, 1), atol=1e-12)
+        out, ok = self.orthonormalize(basis(3, 0), basis(3, 0) + basis(3, 1), basis(3, 2))
+        assert ok and np.allclose(out[1], basis(3, 1), atol=1e-12)
 
     def test_dependent_inputs_deflate(self, rng):
+        # a dependent row is flagged, not dropped, so the draw count stays fixed
         x = unit_vector(rng, 4)
-        assert len(gram_schmidt([x, 2 * x])) == 1
+        _, ok = self.orthonormalize(x, 2 * x, complex_vector(rng, 4))
+        assert not ok
 
-    def test_completion_to_full_triple(self, rng):
-        x = unit_vector(rng, 4)
-        out = gram_schmidt([x, 2 * x], complete_to=3)
-        assert len(out) == 3
-        assert gram_deviation(out) <= 1e-12
-
-    def test_zero_vector_dropped(self, rng):
-        out = gram_schmidt([np.zeros(3), basis(3, 1)])
-        assert len(out) == 1
-
-    def test_completion_beyond_dimension_fails(self, rng):
-        with pytest.raises(ValueError, match="cannot span"):
-            gram_schmidt([unit_vector(rng, 2)], complete_to=3)
+    def test_zero_vector_dropped(self):
+        _, ok = self.orthonormalize(np.zeros(3), basis(3, 1), basis(3, 2))
+        assert not ok
 
     def test_nearly_dependent_stays_orthonormal(self, rng):
         x = unit_vector(rng, 5)
         y = x + 1e-7 * unit_vector(rng, 5)
-        z = complex_vector(rng, 5)
-        out = gram_schmidt([x, y, z])
-        assert gram_deviation(out) <= 1e-12
+        out, ok = self.orthonormalize(x, y, complex_vector(rng, 5))
+        assert ok and gram_deviation(out) <= 1e-12
 
 
 class TestInteriorProduct:
@@ -230,17 +228,6 @@ class TestInteriorProduct:
         got = interior_product(e1, wedge2(e1, e2))
         assert np.allclose(got, e2, atol=1e-15)
         assert np.linalg.norm(interior_product(e3, wedge2(e1, e2))) == 0.0
-
-    def test_contraction_of_simple_trivector(self, rng):
-        n = 6
-        x, y, z, w = (unit_vector(rng, n) for _ in range(4))
-        got = interior_product(w, wedge3(x, y, z))
-        want = (
-            inner(w, x) * wedge2(y, z).coeffs
-            - inner(w, y) * wedge2(x, z).coeffs
-            + inner(w, z) * wedge2(x, y).coeffs
-        )
-        assert np.abs(got.coeffs - want).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 8))
@@ -258,52 +245,47 @@ class TestInteriorProduct:
         lhs = wedge2(w, x).norm_sq() + abs(inner(w, x)) ** 2
         assert lhs == pytest.approx(np.linalg.norm(w) ** 2 * np.linalg.norm(x) ** 2, rel=1e-12)
 
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            interior_product(basis(4, 0), wedge2(basis(3, 0), basis(3, 1)))
+
+def wedges(v):
+    """Wedge basis (v2^v3, v3^v1, v1^v2) of the rows of v (3, n), by wedge2."""
+    return np.stack([wedge2(v[1], v[2]).coeffs, wedge2(v[2], v[0]).coeffs, wedge2(v[0], v[1]).coeffs])
+
+
+def hodge_frame(u, v):
+    """Hodge frame of the unitary u (3, 3) over the orthonormal rows v (3, n), as a one-row stack."""
+    return _hodge_frame(u[None], v[None])[0]
 
 
 class TestHodgeBasis:
     def test_canonical_frame(self):
-        e = [basis(3, k) for k in range(3)]
-        bs = [wedge2(e[1], e[2]), wedge2(e[2], e[0]), wedge2(e[0], e[1])]
-        f = hodge_basis(*bs, e)
-        assert np.abs(wedge2(f[1], f[2]).coeffs - bs[0].coeffs).max() <= 1e-12
-        assert np.abs(wedge2(f[2], f[0]).coeffs - bs[1].coeffs).max() <= 1e-12
-        assert np.abs(wedge2(f[0], f[1]).coeffs - bs[2].coeffs).max() <= 1e-12
+        e = np.eye(3, dtype=complex)
+        bs = wedges(e)
+        assert np.array_equal(_wedge_basis(e[None])[0], bs)
+        f = hodge_frame(np.eye(3), e)
+        assert np.abs(wedge2(f[1], f[2]).coeffs - bs[0]).max() <= 1e-12
+        assert np.abs(wedge2(f[2], f[0]).coeffs - bs[1]).max() <= 1e-12
+        assert np.abs(wedge2(f[0], f[1]).coeffs - bs[2]).max() <= 1e-12
 
     def test_rotated_wedge_basis(self, rng):
         # real rotation with det 1 applied to the canonical wedge basis
-        e = [basis(3, k) for k in range(3)]
-        w = [wedge2(e[1], e[2]), wedge2(e[2], e[0]), wedge2(e[0], e[1])]
+        e = np.eye(3, dtype=complex)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        bs = [Bivector(3, sum(q[l, m] * w[m].coeffs for m in range(3))) for l in range(3)]
-        f = hodge_basis(*bs, e)
+        bs = q @ _wedge_basis(e[None])[0]
+        f = hodge_frame(q, e)
         assert gram_deviation(f) <= 1e-10
-        assert np.abs(wedge2(f[1], f[2]).coeffs - bs[0].coeffs).max() <= 1e-10
+        assert np.abs(wedge2(f[1], f[2]).coeffs - bs[0]).max() <= 1e-10
 
     def test_random_subspace_unitary_mix(self, rng):
         n = 6
-        vb = gram_schmidt([complex_vector(rng, n) for _ in range(3)])
-        w = [wedge2(vb[1], vb[2]), wedge2(vb[2], vb[0]), wedge2(vb[0], vb[1])]
+        vb = orthonormal_basis(rng, n)
+        w = _wedge_basis(vb[None])[0]
+        assert np.abs(w - wedges(vb)).max() <= 1e-15
         q, _ = np.linalg.qr(complex_vector(rng, 9).reshape(3, 3))
-        bs = [Bivector(n, sum(q[l, m] * w[m].coeffs for m in range(3))) for l in range(3)]
-        f = hodge_basis(*bs, vb)
+        bs = q @ w
+        f = hodge_frame(q, vb)
         assert gram_deviation(f) <= 1e-10
         pairs = [(1, 2), (2, 0), (0, 1)]
         for l, (a, b) in enumerate(pairs):
-            assert np.abs(wedge2(f[a], f[b]).coeffs - bs[l].coeffs).max() <= 1e-10
-
-    def test_rejects_non_orthonormal_basis(self, rng):
-        e = [basis(3, 0), basis(3, 0) + basis(3, 1), basis(3, 2)]
-        bs = [wedge2(e[1], e[2]), wedge2(e[2], e[0]), wedge2(e[0], e[1])]
-        with pytest.raises(ValueError, match="orthonormal"):
-            hodge_basis(*bs, e)
-
-    def test_rejects_bivector_outside_subspace(self):
-        e = [basis(5, k) for k in range(3)]
-        bs = [wedge2(e[1], e[2]), wedge2(e[2], e[0]), wedge2(basis(5, 3), basis(5, 4))]
-        with pytest.raises(ValueError, match="contained"):
-            hodge_basis(*bs, e)
+            assert np.abs(wedge2(f[a], f[b]).coeffs - bs[l]).max() <= 1e-10

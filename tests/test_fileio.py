@@ -54,6 +54,26 @@ class TestStateFiles:
             fileio.load_state(path)
 
 
+class TestDocumentShape:
+    # a document that is not an object, or lacks "n", is covered by the CLI's exit-code tests
+    @pytest.mark.parametrize(
+        "load, doc, match",
+        [
+            (fileio.load_matrix, {"n": "2", "entries": [[0, 1], [1, 0]]}, "'n' must be int, got str"),
+            (fileio.load_matrix, {"n": 2, "entries": {"0": [0, 1]}}, "'entries' must be list, got dict"),
+            (fileio.load_matrix, {"n": 2, "entries": [[0, {}], [1, 0]]}, "list of lists of numbers"),
+            (fileio.load_state, {"n": 1}, "missing key 'amplitudes'"),
+        ],
+        ids=["string-n", "object-entries", "object-entry", "no-amplitudes"],
+    )
+    def test_rejected_with_the_file_named(self, tmp_path, load, doc, match):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match) as ex:
+            load(path)
+        assert str(path) in str(ex.value)
+
+
 class TestReportFiles:
     def test_round_trip(self, tmp_path):
         doc = {"property": "triangle", "worst_defect": 0.1 + 0.2, "witness": {"x": [[1.0, -0.0]]}}

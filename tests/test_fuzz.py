@@ -208,6 +208,23 @@ class TestValidationErrors:
             run_fuzz("convexity", TrialConfig(n=4, p=1.0, trials=10, seed=0))
         with pytest.raises(ValueError, match="tolerance"):
             run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=10, seed=0, tolerance=0.0))
+        # p = inf made every distance 1.0 and the run pass; tolerance = inf hid
+        # every violation
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="exponent p must be positive and finite"):
+                run_fuzz("triangle", TrialConfig(n=4, p=bad, trials=10, seed=0))
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                run_fuzz("triangle", TrialConfig(n=4, p=1.5, trials=10, seed=0, tolerance=bad))
+
+    def test_config_dict_shape(self):
+        good = {"n": 3, "p": 2, "trials": 10, "seed": 0}
+        assert TrialConfig.from_dict(good) == TrialConfig(n=3, p=2.0, trials=10, seed=0)
+        with pytest.raises(ValueError, match="JSON object"):
+            TrialConfig.from_dict([good])
+        with pytest.raises(ValueError, match="missing key 'trials'"):
+            TrialConfig.from_dict({"n": 3, "p": 2.0, "seed": 0})
+        with pytest.raises(ValueError, match="'n' must be int, got list"):
+            TrialConfig.from_dict({**good, "n": [3]})
 
     def test_matrix_mode_mismatches(self):
         m = DistanceMatrix.from_array([[0, 1], [1, 0]])

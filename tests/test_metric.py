@@ -3,19 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis, complex_vector, unit_vector
-from pqdist.exterior import gram_schmidt, wedge2
+from conftest import basis, orthonormal_basis, unit_vector
+from pqdist.exterior import _hodge_frame, wedge2
 from pqdist.metric import (
     DistanceMatrix,
     DistanceMatrixError,
     DpMetric,
-    apply_pair_weights,
+    _restricted_form_rows,
     d2,
     d_hs,
     d_p,
     dp_from_weights,
     embed,
-    restricted_form_eigen,
+    pair_weights,
     shortest_path_closure,
     spectral_condition_n3,
     validate_distance_matrix,
@@ -209,8 +209,12 @@ class TestDp:
             d_p(DpMetric(e, 2.0), unit_vector(rng, 3), unit_vector(rng, 3))
 
     def test_invalid_exponent(self, rng):
-        with pytest.raises(ValueError, match="positive"):
-            dp_from_weights(np.ones((2, 2)), 0.0, basis(2, 0), basis(2, 1))
+        e = DistanceMatrix.from_array([[0, 1], [1, 0]])
+        for p in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                dp_from_weights(e.entries, p, basis(2, 0), basis(2, 1))
+            with pytest.raises(ValueError, match="positive and finite"):
+                DpMetric(e, p)
 
     def test_metric_guaranteed_flag(self):
         e = DistanceMatrix.from_array([[0, 1], [1, 0]])
@@ -273,63 +277,59 @@ class TestEmbed:
             embed(rho, 1.5)
 
 
+def restricted_form(e, p, v):
+    """(mus, U, eigen-bivectors) of the restricted form over the orthonormal rows v (3, n), as a one-row stack."""
+    mus, u, bs = _restricted_form_rows(pair_weights(e, p)[None], np.asarray(v, dtype=complex)[None])
+    return mus[0], u[0], bs[0]
+
+
 class TestRestrictedForm:
     def test_canonical_subspace_is_diagonal(self):
         entries = np.array([[0, 1.5, 1.2], [1.5, 0, 0.7], [1.2, 0.7, 0]])
-        e = DistanceMatrix.from_array(entries)
         p = 2.7
-        mus, bs = restricted_form_eigen(e, p, [basis(3, k) for k in range(3)])
+        mus, _, bs = restricted_form(entries, p, np.eye(3))
         lam = (entries[1, 2], entries[0, 2], entries[0, 1])
         assert list(mus) == pytest.approx([l ** (p / 2) for l in lam], rel=1e-12)
         # eigen-bivectors reduce to the wedge basis itself
-        assert abs(abs(bs[0].coeffs[-1]) - 1) < 1e-12
+        assert abs(abs(bs[0][-1]) - 1) < 1e-12
 
     def test_unit_weights_give_unit_mus(self, rng):
         n = 5
         ones = np.ones((n, n)) - np.eye(n)
-        vb = gram_schmidt([complex_vector(rng, n) for _ in range(3)])
-        mus, _ = restricted_form_eigen(ones, 3.0, vb)
+        mus, _, _ = restricted_form(ones, 3.0, orthonormal_basis(rng, n))
         assert list(mus) == pytest.approx([1, 1, 1], rel=1e-10)
 
     def test_trace_preserved(self, rng):
         n = 5
         e = euclidean_matrix(rng, n)
-        vb = gram_schmidt([complex_vector(rng, n) for _ in range(3)])
-        wedges = [wedge2(vb[1], vb[2]), wedge2(vb[2], vb[0]), wedge2(vb[0], vb[1])]
+        vb = orthonormal_basis(rng, n)
+        wedges = np.stack([wedge2(vb[1], vb[2]).coeffs, wedge2(vb[2], vb[0]).coeffs, wedge2(vb[0], vb[1]).coeffs])
         p = 2.0
-        trace = sum(apply_pair_weights(e, p, w).coeffs @ np.conj(w.coeffs) for w in wedges).real
-        mus, _ = restricted_form_eigen(e, p, vb)
+        trace = (pair_weights(e, p) * np.abs(wedges) ** 2).sum()
+        mus, _, _ = restricted_form(e, p, vb)
         assert sum(m * m for m in mus) == pytest.approx(trace, rel=1e-10)
 
     def test_eigen_bivectors_orthonormal(self, rng):
         n = 6
         e = euclidean_matrix(rng, n)
-        vb = gram_schmidt([complex_vector(rng, n) for _ in range(3)])
-        _, bs = restricted_form_eigen(e, 2.5, vb)
-        g = np.array([[np.vdot(a.coeffs, b.coeffs) for b in bs] for a in bs])
+        _, _, bs = restricted_form(e, 2.5, orthonormal_basis(rng, n))
+        g = np.conj(bs) @ bs.T
         assert np.abs(g - np.eye(3)).max() <= 1e-10
 
     def test_mu_consistency_through_hodge_frame(self, rng):
-        from pqdist.exterior import hodge_basis
-
         n = 6
         e = euclidean_matrix(rng, n)
         for p in (2.0, 3.0):
-            vb = gram_schmidt([complex_vector(rng, n) for _ in range(3)])
-            mus, bs = restricted_form_eigen(e, p, vb)
-            f = hodge_basis(*bs, vb)
+            vb = orthonormal_basis(rng, n)
+            mus, u, _ = restricted_form(e, p, vb)
+            f = _hodge_frame(u[None], vb[None])[0]
+            half = pair_weights(e, p / 2)
             got = [
-                apply_pair_weights(e, p / 2, wedge2(f[1], f[2])).norm(),
-                apply_pair_weights(e, p / 2, wedge2(f[0], f[2])).norm(),
-                apply_pair_weights(e, p / 2, wedge2(f[0], f[1])).norm(),
+                np.linalg.norm(half * wedge2(f[1], f[2]).coeffs),
+                np.linalg.norm(half * wedge2(f[0], f[2]).coeffs),
+                np.linalg.norm(half * wedge2(f[0], f[1]).coeffs),
             ]
             assert got == pytest.approx(list(mus), rel=1e-9)
-
-    def test_rejects_non_orthonormal_basis(self, rng):
-        e = euclidean_matrix(rng, 4)
-        vs = [basis(4, 0), basis(4, 0) + basis(4, 1), basis(4, 2)]
-        with pytest.raises(ValueError, match="orthonormal"):
-            restricted_form_eigen(e, 2.0, vs)
 
 
 class TestClosure:

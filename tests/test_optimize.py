@@ -59,6 +59,9 @@ class TestMinimizer:
             minimize_defect_n3((1, -1, 1), 2.0)
         with pytest.raises(ValueError, match="three"):
             minimize_defect_n3((1, 1), 2.0)
+        for p in (float("nan"), float("inf")):  # nan once ran and returned min_defect = inf
+            with pytest.raises(ValueError, match="finite"):
+                minimize_defect_n3((1, 1, 1), p)
 
 
 class TestObjective:

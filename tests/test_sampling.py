@@ -12,7 +12,6 @@ from pqdist.sampling import (
     sample_orthonormal_triple,
     sample_pure_state,
     sample_symmetric_weights,
-    sample_unit_bivector_coeffs,
     states_batch,
     trial_rng,
 )
@@ -63,13 +62,10 @@ class TestPureStates:
             sample_pure_state(0, trial_rng(0))
 
     def test_single_draws_equal_batch_rows_bitwise(self):
-        # a bivector over n(n-1)/2 pairs is drawn like a state on that many coordinates
         for seed in range(50):
             for n in (2, 3, 5, 8):
                 state = sample_pure_state(n, trial_rng(seed))
                 assert np.array_equal(state, states_batch(trial_rng(seed), 1, n)[0])
-                coeffs = sample_unit_bivector_coeffs(n, trial_rng(seed))
-                assert np.array_equal(coeffs, states_batch(trial_rng(seed), 1, n * (n - 1) // 2)[0])
 
 
 class TestOrthonormalTriples:
@@ -135,8 +131,3 @@ class TestWeights:
     def test_zero_one_mode(self):
         w = pair_weights_batch(trial_rng(12), 16, 5, "zero-one")
         assert set(np.unique(w)) <= {0.0, 1.0}
-
-    def test_unit_bivector_coefficients(self):
-        c = sample_unit_bivector_coeffs(5, trial_rng(13))
-        assert c.size == 10
-        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
