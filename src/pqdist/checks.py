@@ -29,7 +29,6 @@ from .exterior import (
     _wedge_basis,
     _wedge_bv_coeffs,
     gram_deviation,
-    minors2,
     pair_indices,
     pair_positions,
     triple_indices,
@@ -38,6 +37,7 @@ from .metric import (
     DistanceMatrix,
     _dp_inputs,
     _dp_rows,
+    _minor_sums,
     _restricted_form_rows,
     dp_from_weights,
 )
@@ -75,15 +75,15 @@ class ProjectorDefects(NamedTuple):
     inner: float  # |P(B) ^ v|^2 - |Q(B ^ v)|^2
 
 
-def ensure_orthonormal_triple(x, y, z, *, tol: float = ORTHO_INPUT_TOL):
+def ensure_orthonormal_triple(x, y, z):
     """Gate a triple on orthonormality, then polish it by re-orthogonalization.
 
-    Inputs beyond ``tol`` Gram deviation are rejected rather than repaired;
+    Inputs beyond ``ORTHO_INPUT_TOL`` Gram deviation are rejected rather than repaired;
     accepted inputs get ~1e-16 polish from the samplers' batched Gram-Schmidt
     so downstream checks see exact hypotheses.
     """
     vs = [np.asarray(v, dtype=complex) for v in (x, y, z)]
-    if gram_deviation(vs) > tol:
+    if gram_deviation(vs) > ORTHO_INPUT_TOL:
         raise ValueError("triple is not orthonormal")
     u, v, w, _ = _orthonormalize_triples(*(a[None] for a in vs))
     return u[0], v[0], w[0]
@@ -116,12 +116,6 @@ def _sq(m: np.ndarray) -> np.ndarray:
     return m.real**2 + m.imag**2
 
 
-def _pair_sum(a: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pair-weighted squared 2x2-minor sums of the rows of x and y."""
-    i, j = pair_indices(x.shape[-1])
-    return _row_sums(a * _sq(minors2(x, y, i, j)))
-
-
 def _pair_triples(a: np.ndarray, n: int):
     """Values (a_ij, a_ik, a_jk) over the pairs of every triple i < j < k."""
     _, _, _, pij, pik, pjk = triple_indices(n)
@@ -150,7 +144,7 @@ def _triangle_rows(wts: np.ndarray, p: float, x, y, z):
 
 def _minorial_rows(a: np.ndarray, x, y, z):
     """Minorial kernel: (middle - lower bound, upper bound - middle)."""
-    mid = _pair_sum(a, x, y)
+    mid, _ = _minor_sums(a, x, y)
     pt = _sq(_minors3(x, y, z))
     stacked = _pair_triples(a, x.shape[-1])
     return mid - _row_sums(_fvalue("min", stacked) * pt), _row_sums(_fvalue("max", stacked) * pt) - mid
@@ -158,7 +152,7 @@ def _minorial_rows(a: np.ndarray, x, y, z):
 
 def _convexity_rows(fnames, a: np.ndarray, x, y, z, p: float | None):
     """Convexity kernel: signed defects (count, len(fnames)), one column per shape in ``fnames``."""
-    g = (_pair_sum(a, x, y), _pair_sum(a, x, z), _pair_sum(a, y, z))
+    g = (_minor_sums(a, x, y)[0], _minor_sums(a, x, z)[0], _minor_sums(a, y, z)[0])
     pt = _sq(_minors3(x, y, z))
     stacked = _pair_triples(a, x.shape[-1])
     out = []
@@ -171,7 +165,7 @@ def _convexity_rows(fnames, a: np.ndarray, x, y, z, p: float | None):
 
 def _w1_rows(a: np.ndarray, x, y, z):
     """Generator-identity kernel: (lhs, rhs, relative residual)."""
-    lhs = _pair_sum(a, x, y) + _pair_sum(a, x, z) + _pair_sum(a, y, z)
+    lhs = _minor_sums(a, x, y)[0] + _minor_sums(a, x, z)[0] + _minor_sums(a, y, z)[0]
     rhs = _row_sums(_fvalue("sum", _pair_triples(a, x.shape[-1])) * _sq(_minors3(x, y, z)))
     denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     return lhs, rhs, np.abs(lhs - rhs) / denom
@@ -293,7 +287,6 @@ def check_orthonormal_reduction(
     y,
     z,
     *,
-    subspace_samples: int = SUBSPACE_SAMPLES,
     inner_seed: int = 0,
     inner_stream: int = 0,
     tol: float = 1e-9,
@@ -307,14 +300,14 @@ def check_orthonormal_reduction(
 
     * mu-consistency: the weighted norms of the frame wedges reproduce mu;
     * equivalence: 2 max mu^(2/p) <= sum mu^(2/p) agrees with direct triangle
-      checks over ``subspace_samples`` random orthonormal triples drawn inside
+      checks over ``SUBSPACE_SAMPLES`` random orthonormal triples drawn inside
       V from the stream ``trial_rng(inner_seed, inner_stream)``.
     """
     wts, xv, yv = _dp_inputs(e.entries if isinstance(e, DistanceMatrix) else e, p, x, y)
     _, zv = _pair_of_vectors(xv, z)
     if xv.size < 3:
         raise ValueError(f"cannot span 3 dimensions inside C^{xv.size}")
-    draws = _subspace_draws(inner_seed, [inner_stream], subspace_samples)
+    draws = _subspace_draws(inner_seed, [inner_stream], SUBSPACE_SAMPLES)
     return _reduction_report(_reduction_rows(wts[None], p, xv[None], yv[None], zv[None], draws, tol), 0, tol)
 
 

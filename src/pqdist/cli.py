@@ -194,10 +194,7 @@ def cmd_embed(args) -> int:
         "verified": True,
         "version": __version__,
     }
-    manifest_path = os.path.join(args.out, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    fileio._write_json(os.path.join(args.out, "manifest.json"), manifest)
     print(f"wrote {len(names)} basis states and manifest to {args.out}")
     return 0
 

@@ -7,23 +7,23 @@ minor of the stacked component matrix.  With this convention the squared
 coefficient sums obey the Lagrange identity and, for orthonormal families,
 the Cauchy-Binet normalization (the squared minors sum to 1).
 
-``minors2``, ``_minors3`` (behind ``wedge3``), ``_wedge_bv_coeffs`` (behind
-``wedge_bv``) and ``_cross`` (behind ``cross3``) work over the last axis, so
-one input and a stack of them share one formula.  ``_wedge_basis`` and
-``_hodge_frame`` work over stacks of 3-row bases only; a single basis is a
-stack of one.  The batched kernels in ``checks``, ``metric`` and
-``optimize`` call these directly.
+``minors2`` (behind ``wedge2`` and ``cross3``), ``_minors3`` (behind
+``wedge3``), ``_wedge_bv_coeffs`` (behind ``wedge_bv``) and the interior
+product ``_interior_rows`` work over the last axis, so one input and a stack
+of them share one formula.  ``_wedge_basis`` and ``_hodge_frame`` work over
+stacks of 3-row bases only; a single basis is a stack of one.  The batched
+kernels in ``checks``, ``metric`` and ``optimize`` call these directly.
 
 Each row of a stacked result equals, bit for bit, the result for that row
 alone, whatever the number of rows, so row slices of a stack give the bits
-of the whole stack.  Two rules keep it so.  numpy may run ``a * tmp`` as
-``tmp *= a`` when ``tmp`` is a large temporary, and complex products are not
-bit-commutative under FMA contraction; so no complex product here has a
-temporary on its right beside a named array on its left.  And every sum
-over the last axis goes through ``_row_sums``: a fancy-index gather along
-the last axis comes back in Fortran order, which keeps the elementwise work
-in one contiguous loop, but numpy then sums a stack's rows one term at a
-time and a lone row pairwise.
+of the whole stack (``_interior_rows``, one matmul, is the exception).  Two
+rules keep it so.  numpy may run ``a * tmp`` as ``tmp *= a`` when ``tmp`` is
+a large temporary, and complex products are not bit-commutative under FMA
+contraction; so no complex product here has a temporary on its right beside
+a named array on its left.  And every sum over the last axis goes through
+``_row_sums``: a fancy-index gather along the last axis comes back in
+Fortran order, which keeps the elementwise work in one contiguous loop, but
+numpy then sums a stack's rows one term at a time and a lone row pairwise.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -105,17 +106,18 @@ def _pair_of_vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class Bivector:
-    """Antisymmetric rank-2 coefficients over pairs i < j (Plucker order 2)."""
+class _Multivector:
+    """Antisymmetric coefficients over the lexicographic index tuples of one grade."""
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        if c.shape != (self.n * (self.n - 1) // 2,):
+        want = comb(self.n, self._grade)
+        if c.shape != (want,):
             raise ValueError(
-                f"bivector in dimension {self.n} needs {self.n*(self.n-1)//2} "
+                f"{type(self).__name__.lower()} in dimension {self.n} needs {want} "
                 f"coefficients, got shape {c.shape}"
             )
         c.setflags(write=False)
@@ -128,29 +130,16 @@ class Bivector:
         return float(np.sqrt(self.norm_sq()))
 
 
-@dataclass(frozen=True)
-class Trivector:
+class Bivector(_Multivector):
+    """Antisymmetric rank-2 coefficients over pairs i < j (Plucker order 2)."""
+
+    _grade = 2
+
+
+class Trivector(_Multivector):
     """Antisymmetric rank-3 coefficients over triples i < j < k."""
 
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=complex))
-        want = self.n * (self.n - 1) * (self.n - 2) // 6
-        if c.shape != (want,):
-            raise ValueError(
-                f"trivector in dimension {self.n} needs {want} coefficients, "
-                f"got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.coeffs.real**2 + self.coeffs.imag**2))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
+    _grade = 3
 
 
 def inner(x, y) -> complex:
@@ -230,23 +219,34 @@ def _wedge_bv_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross3(x, y) -> np.ndarray:
-    """Bilinear cross product on C^3 (no conjugation)."""
+    """Bilinear cross product on C^3 (no conjugation): the minors (m12, -m02, m01) of x ^ y."""
     xv, yv = _pair_of_vectors(x, y)
     if xv.size != 3:
         raise ValueError("cross3 is defined on C^3 only")
-    return _cross(xv, yv)
+    m01, m02, m12 = minors2(xv, yv, *pair_indices(3))
+    return np.array([m12, -m02, m01])
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product over the last axis of length 3."""
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
+@lru_cache(maxsize=None)
+def _interior_terms(n: int):
+    """Slots of w and of B in each term of ``_interior_rows``, and the matrix adding the terms up."""
+    i, j = pair_indices(n)
+    e = np.eye(n, dtype=complex)
+    plan = (np.concatenate([j, i]), np.tile(np.arange(i.size), 2), np.concatenate([-e[i], e[j]]))
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _interior_rows(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Interior products u_k = sum_i conj(w_i) B_ik (B_ki = -B_ik) of the rows of w (..., n) and b (..., C(n,2)).
+
+    The terms conj(w_j) B_ij, then conj(w_i) B_ij, over the pairs i < j are
+    gathered once, and one (2 C(n,2), n) matmul adds them to -u_i, then to u_j.
+    """
+    w_slots, b_slots, scatter = _interior_terms(w.shape[-1])
+    terms = np.conj(w[..., w_slots]) * b[..., b_slots]
+    return (terms.reshape(-1, terms.shape[-1]) @ scatter).reshape(w.shape)
 
 
 def gram_deviation(vectors) -> float:

@@ -2,8 +2,8 @@
 
 Floats are serialized with Python's shortest round-trip representation, so
 parse(serialize(x)) == x holds exactly and identically seeded runs produce
-byte-identical files.  Reports are strict JSON: ``write_report`` refuses NaN
-and Infinity, which a report body carries as null.  Loaders check the shape
+byte-identical files.  Every file is strict JSON: the writers refuse NaN and
+Infinity, which a report body carries as null.  Loaders check the shape
 of a document before they use it: a document that is not an object, or a key
 that is missing or of the wrong JSON type, raises ValueError naming the file.
 """
@@ -68,15 +68,33 @@ def _number_rows(doc: dict, key: str, path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def _m2l(m) -> list:  # matrix rows as lists of floats
+    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+
+
+def _c2l(v) -> list:  # complex vector as [re, im] pairs
+    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
+
+
+def _l2c(pairs) -> np.ndarray:  # complex values from [re, im] pairs on the last axis
+    a = np.asarray(pairs, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` as strict JSON, indented by 2, with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def matrix_to_dict(entries) -> dict:
     a = np.asarray(entries, dtype=float)
-    return {"n": int(a.shape[0]), "entries": [[float(x) for x in row] for row in a]}
+    return {"n": int(a.shape[0]), "entries": _m2l(a)}
 
 
 def save_matrix(path, entries) -> None:
-    with open(path, "w") as fh:
-        json.dump(matrix_to_dict(entries), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, matrix_to_dict(entries))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -94,26 +112,25 @@ def load_matrix(path) -> np.ndarray:
 
 def state_to_dict(vec) -> dict:
     v = np.asarray(vec, dtype=complex)
-    return {"n": int(v.size), "amplitudes": [[float(c.real), float(c.imag)] for c in v]}
+    return {"n": int(v.size), "amplitudes": _c2l(v)}
 
 
 def save_state(path, vec) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(vec), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, state_to_dict(vec))
 
 
-def load_state(path, *, norm_tol: float = 1e-9) -> np.ndarray:
+def load_state(path) -> np.ndarray:
+    """Parse a state file; its norm must be 1 within 1e-9."""
     doc = load_object(path)
     n = get_field(doc, "n", int, path)
     amps = _number_rows(doc, "amplitudes", path)
     if amps.shape != (n, 2):
         raise ValueError(f"{path}: declared n={n} but got {amps.shape[0]} amplitude pairs")
-    v = amps[:, 0] + 1j * amps[:, 1]
+    v = _l2c(amps)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"{path}: amplitudes must be finite")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > norm_tol:
+    if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"{path}: state is not normalized (norm = {nrm!r})")
     return v
 
@@ -121,9 +138,7 @@ def load_state(path, *, norm_tol: float = 1e-9) -> np.ndarray:
 def write_report(path, report_dict: dict) -> None:
     if os.path.dirname(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(path, report_dict)
 
 
 def load_report(path) -> dict:

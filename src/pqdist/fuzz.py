@@ -60,8 +60,8 @@ from .checks import (
     triangle_defect,
 )
 from .exterior import Bivector, pair_indices
-from .fileio import get_field
-from .metric import DistanceMatrix, _check_exponent, _slice_rows, pair_weights
+from .fileio import _c2l, _l2c, _m2l, get_field
+from .metric import DistanceMatrix, _check_exponent, _in_slices, pair_weights
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
@@ -192,41 +192,16 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
     if prop == "convexity" and cfg.p < 2:
         raise ValueError("convexity fuzzing uses powersum in its concave regime, p >= 2")
     if matrix is not None:
+        if prop not in ("triangle", "reduction"):
+            raise ValueError(f"property {prop!r} reads no distance matrix, so a fixed one would be ignored")
         if cfg.matrix_mode != "user-supplied":
             raise ValueError("a fixed matrix requires matrix_mode='user-supplied'")
         if matrix.n != cfg.n:
             raise ValueError(f"matrix size {matrix.n} does not match n={cfg.n}")
     elif cfg.matrix_mode == "user-supplied":
         raise ValueError("matrix_mode='user-supplied' needs a matrix")
-    elif prop in ("triangle", "reduction") and cfg.matrix_mode not in MATRIX_MODES:
+    elif cfg.matrix_mode not in MATRIX_MODES:
         raise ValueError(f"unknown matrix mode {cfg.matrix_mode!r}")
-
-
-def _c2l(v: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v, dtype=complex)]
-
-
-def _l2c(pairs) -> np.ndarray:
-    a = np.asarray(pairs, dtype=float)
-    return a[..., 0] + 1j * a[..., 1]
-
-
-def _m2l(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
-def _in_slices(kernel, width: int, *rows):
-    """Run ``kernel`` over consecutive row slices of ``rows`` and join its outputs.
-
-    ``width`` is the kernel's elements per row; every output has rows on axis 0.
-    """
-    step = _slice_rows(width)
-    parts = [kernel(*(r[s : s + step] for r in rows)) for s in range(0, len(rows[0]), step)]
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
 
 
 def _pairs(n: int) -> int:

@@ -11,11 +11,12 @@ probed.
 The Hilbert-Schmidt distance sqrt(1 - |<x|y>|^2) is the special case p = 2
 with all off-diagonal entries equal to 1.
 
-Each object has one evaluator over stacks of rows: ``_dp_rows`` for d_p on
-pair weights E_ij^p, and ``_restricted_form_rows`` for the pair-weight form
-restricted to the wedge square of a 3-space.  The public evaluators gate
-their inputs and run them on one row; the ``checks`` kernels run them on
-whole chunks.
+Each object has one evaluator over stacks of rows: ``_minor_sums`` for the
+weighted squared-minor sum inside d_p (``_dp_rows`` takes its p-th root; the
+``checks`` kernels and the ``optimize`` minimizer use it too), and
+``_restricted_form_rows`` for the pair-weight form restricted to the wedge
+square of a 3-space.  The public evaluators gate their inputs and run them on
+one row; the ``checks`` kernels run them on whole chunks.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def _raw_square_matrix(m) -> np.ndarray:
     return a
 
 
-def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> ValidationResult:
+def validate_distance_matrix(m) -> ValidationResult:
     """Check the metric axioms entry-wise, collecting witnesses.
 
+    A triangle counts as violated when it fails by more than ``TRIANGLE_SLACK``.
     Malformed input (non-square, non-real, NaN/Inf) raises ValueError; axiom
     failures are reported, capped at 100 witnesses per axiom.
     """
@@ -136,7 +138,7 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
             )
 
     seen = set()
-    for i, j, k in _triangle_hits(a, triangle_tol):
+    for i, j, k in _triangle_hits(a):
         key = (min(i, k), int(j), max(i, k))
         if key in seen:
             continue
@@ -157,11 +159,11 @@ def validate_distance_matrix(m, *, triangle_tol: float = TRIANGLE_SLACK) -> Vali
 
 
 # Elements a blocked computation holds per step: a block of the triangle scan
-# below, a row slice of a campaign kernel (``fuzz``) and of a Euclidean
-# distance-matrix draw (``sampling``).  On campaigns at n = 16 to 64, 2^15
-# to 2^17 ran within 7% of each other with one thread; 2^14 took 18% and
-# 2^13 38% longer, and whole 512-trial chunks fault their temporaries in
-# afresh on every call.
+# below, and a row slice (``_in_slices``) of a campaign kernel (``fuzz``) or
+# of a Euclidean distance-matrix draw (``sampling``).  On campaigns at n = 16
+# to 64, 2^15 to 2^17 ran within 7% of each other with one thread; 2^14 took
+# 18% and 2^13 38% longer, and whole 512-trial chunks fault their
+# temporaries in afresh on every call.
 _BUDGET = 1 << 15
 
 
@@ -170,8 +172,22 @@ def _slice_rows(width: int) -> int:
     return max(1, _BUDGET // width)
 
 
-def _triangle_hits(a: np.ndarray, triangle_tol: float):
-    """Distinct (i, j, k) with E[i,k] > E[i,j] + E[j,k] + tol, in lexicographic order.
+def _in_slices(kernel, width: int, *rows):
+    """Run ``kernel`` over consecutive row slices of ``rows`` and join its outputs.
+
+    ``width`` is the kernel's elements per row; every output has rows on axis 0.
+    """
+    step = _slice_rows(width)
+    parts = [kernel(*(r[s : s + step] for r in rows)) for s in range(0, len(rows[0]), step)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _triangle_hits(a: np.ndarray):
+    """Distinct (i, j, k) with E[i,k] > E[i,j] + E[j,k] + TRIANGLE_SLACK, in lexicographic order.
 
     The n^3 defect cube is built over blocks of i, so memory stays
     O(max(n^2, _BUDGET)); the scan stops when the caller stops iterating.
@@ -185,7 +201,7 @@ def _triangle_hits(a: np.ndarray, triangle_tol: float):
         # d(i,k) <= d(i,j) + d(j,k) for all j distinct from i, k
         defect = rows[:, None, :] - rows[:, :, None] - a.T[None, :, :]
         distinct = (ii != jj) & (jj != kk) & (ii != kk)
-        for i, j, k in np.argwhere(distinct & (defect > triangle_tol)):
+        for i, j, k in np.argwhere(distinct & (defect > TRIANGLE_SLACK)):
             yield i + start, j, k
 
 
@@ -252,12 +268,16 @@ def _dp_inputs(entries, p: float, x, y):
     return pair_weights(a, p), xv, yv
 
 
+def _minor_sums(wts: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(sums, minors): the pair-weighted squared 2x2-minor sums of the rows of x and y, and their minors."""
+    i, j = pair_indices(x.shape[-1])
+    minors = minors2(x, y, i, j)  # bit-antisymmetric, so the sums are bit-symmetric
+    return _row_sums(wts * (minors.real**2 + minors.imag**2)), minors
+
+
 def _dp_rows(wts: np.ndarray, p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d_p between the rows of x and y from pair weights E_ij^p: the one evaluator of d_p."""
-    i, j = pair_indices(x.shape[-1])
-    minors = minors2(x, y, i, j)  # bit-antisymmetric, so d is bit-symmetric
-    s = _row_sums(wts * (minors.real**2 + minors.imag**2))
-    return np.maximum(s, 0.0) ** (1.0 / p)
+    return np.maximum(_minor_sums(wts, x, y)[0], 0.0) ** (1.0 / p)
 
 
 def d_p(m: DpMetric, x, y) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import pair_indices
-from .metric import DistanceMatrix, _slice_rows, shortest_path_closure
+from .metric import DistanceMatrix, _in_slices, shortest_path_closure
 
 __all__ = [
     "MATRIX_MODES",
@@ -78,13 +78,12 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
     if n < 2:
         raise ValueError("distance matrices need size >= 2")
     if mode == "euclidean-points":
-        pts = rng.random((count, n, 3))
-        step = _slice_rows(n * n)
-        parts = []
-        for s in range(0, count, step):
-            diff = pts[s : s + step, :, None, :] - pts[s : s + step, None, :, :]
-            parts.append(np.sqrt(np.square(diff, out=diff).sum(axis=-1)))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        def distances(pts):
+            diff = pts[:, :, None, :] - pts[:, None, :, :]
+            return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+
+        return _in_slices(distances, n * n, rng.random((count, n, 3)))
     npairs = n * (n - 1) // 2
     if mode == "repaired-random":
         w = 1.0 - rng.random((count, npairs))  # uniform on (0, 1]

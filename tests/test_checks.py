@@ -5,7 +5,8 @@ import pytest
 
 from conftest import basis, interior_product
 from pqdist.exterior import Bivector, wedge2, wedge3
-from pqdist.fuzz import TrialConfig, _l2c, reevaluate_witness, run_fuzz
+from pqdist.fileio import _l2c
+from pqdist.fuzz import TrialConfig, reevaluate_witness, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
     _convexity_rows,

@@ -179,6 +179,8 @@ class TestFuzz:
         assert main(["fuzz", "--n", "4", "--trials", "10"]) == 2  # no property
         assert main(["fuzz", "--property", "triangle", "--matrix", files["broken"],
                      "--trials", "10"]) == 2
+        assert main(["fuzz", "--property", "minorial", "--matrix", files["triple"],
+                     "--trials", "10"]) == 2  # minorial reads no matrix
 
     @pytest.mark.parametrize("prop,rc", [("triangle", 1), ("reduction", 2)])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

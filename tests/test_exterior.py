@@ -7,6 +7,7 @@ from conftest import basis, complex_vector, interior_product, orthonormal_basis,
 from pqdist.exterior import (
     Bivector,
     _hodge_frame,
+    _interior_rows,
     _wedge_basis,
     cross3,
     gram_deviation,
@@ -244,6 +245,16 @@ class TestInteriorProduct:
         w, x = complex_vector(rng, 5), complex_vector(rng, 5)
         lhs = wedge2(w, x).norm_sq() + abs(inner(w, x)) ** 2
         assert lhs == pytest.approx(np.linalg.norm(w) ** 2 * np.linalg.norm(x) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_stacked_contraction_matches_oracle(self, rng, n):
+        w = complex_vector(rng, 2 * 5 * n).reshape(2, 5, n)
+        b = complex_vector(rng, 2 * 5 * n * (n - 1) // 2).reshape(2, 5, -1)
+        got = _interior_rows(w, b)
+        assert got.shape == w.shape
+        for k in np.ndindex(w.shape[:-1]):
+            want = interior_product(w[k], Bivector(n, b[k]))
+            assert np.allclose(got[k], want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def wedges(v):

@@ -236,6 +236,17 @@ class TestValidationErrors:
         cfg = TrialConfig(n=3, p=2.0, trials=10, seed=0, matrix_mode="user-supplied")
         with pytest.raises(ValueError, match="does not match"):
             run_fuzz("triangle", cfg, matrix=m)
+        # the weight properties read no matrix: a fixed one is an error, not ignored
+        m3 = DistanceMatrix.from_array([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+        for prop in ("minorial", "convexity", "projector", "w1"):
+            with pytest.raises(ValueError, match="reads no distance matrix"):
+                run_fuzz(prop, cfg, matrix=m3)
+        # every property rejects an unknown mode and takes the three drawn ones
+        for prop in PROPERTIES:
+            with pytest.raises(ValueError, match="unknown matrix mode 'bogus'"):
+                run_fuzz(prop, TrialConfig(n=4, p=2.0, trials=10, seed=0, matrix_mode="bogus"))
+            for mode in ("euclidean-points", "repaired-random", "zero-one"):
+                run_fuzz(prop, TrialConfig(n=4, p=2.0, trials=10, seed=0, matrix_mode=mode))
 
     def test_properties_tuple_is_stable(self):
         assert PROPERTIES == ("triangle", "minorial", "convexity", "projector", "reduction", "w1")

@@ -32,7 +32,7 @@ class TestMinimizer:
     def test_returned_triple_reproduces_value(self):
         lam = (0.8, 1.1, 0.9)
         res = minimize_defect_n3(lam, 3.0, seed=5)
-        assert direct_defect(lam, 3.0, res.triple) == pytest.approx(res.min_defect, abs=1e-9)
+        assert direct_defect(lam, 3.0, res.triple) == res.min_defect
         for v in res.triple:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -73,11 +73,11 @@ class TestObjective:
         v = rng.standard_normal((3, 6, 3)) + 1j * rng.standard_normal((3, 6, 3))
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         h = rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape)
-        f, g = _defect_and_gradient(v, lam**p, 1.0 / p)
+        f, g = _defect_and_gradient(v, lam[[2, 1, 0]] ** p, 1.0 / p)
         slope = 2.0 * (np.conj(g) * h).real.sum(axis=(0, 2))
         t = 1e-6
         for k in range(v.shape[1]):
-            assert f[k] == pytest.approx(direct_defect(lam, p, v[:, k]), rel=1e-12)
+            assert f[k] == direct_defect(lam, p, v[:, k])
             diff = direct_defect(lam, p, (v + t * h)[:, k]) - direct_defect(lam, p, (v - t * h)[:, k])
             assert slope[k] == pytest.approx(diff / (2 * t), rel=1e-6)
 
@@ -91,7 +91,7 @@ class TestObjective:
         with np.errstate(invalid="ignore"):
             v[:, 1] = np.zeros(3) / np.linalg.norm(np.zeros(3))
             v[:, 2] = np.eye(3)  # (x, y, z) = (e1, e2, e3): 1 + 1 - 3
-            f, _ = _defect_and_gradient(v, lam**2, 0.5)
+            f, _ = _defect_and_gradient(v, lam[[2, 1, 0]] ** 2, 0.5)
         assert f[1] == np.inf
         assert f[2] == pytest.approx(-1.0, abs=1e-15)
         assert int(np.argmin(f)) == 2
