@@ -24,8 +24,8 @@ from .exterior import (
     _bivector_and_vector,
     _hodge_frame,
     _minors3,
-    _pair_of_vectors,
     _row_sums,
+    _vectors,
     _wedge_basis,
     _wedge_bv_coeffs,
     gram_deviation,
@@ -38,6 +38,7 @@ from .metric import (
     _dp_inputs,
     _dp_rows,
     _minor_sums,
+    _raw_square_matrix,
     _restricted_form_rows,
     dp_from_weights,
 )
@@ -75,26 +76,22 @@ class ProjectorDefects(NamedTuple):
     inner: float  # |P(B) ^ v|^2 - |Q(B ^ v)|^2
 
 
-def ensure_orthonormal_triple(x, y, z):
-    """Gate a triple on orthonormality, then polish it by re-orthogonalization.
-
-    Inputs beyond ``ORTHO_INPUT_TOL`` Gram deviation are rejected rather than repaired;
-    accepted inputs get ~1e-16 polish from the samplers' batched Gram-Schmidt
-    so downstream checks see exact hypotheses.
-    """
-    vs = [np.asarray(v, dtype=complex) for v in (x, y, z)]
+def _orthonormal_gate(x, y, z):
+    """The triple as vectors; beyond ``ORTHO_INPUT_TOL`` Gram deviation it is rejected, not repaired."""
+    vs = _vectors(x, y, z)
     if gram_deviation(vs) > ORTHO_INPUT_TOL:
         raise ValueError("triple is not orthonormal")
-    u, v, w, _ = _orthonormalize_triples(*(a[None] for a in vs))
+    return vs
+
+
+def ensure_orthonormal_triple(x, y, z):
+    """Gate a triple on orthonormality, then polish it (~1e-16) with the samplers' batched Gram-Schmidt."""
+    u, v, w, _ = _orthonormalize_triples(*(a[None] for a in _orthonormal_gate(x, y, z)))
     return u[0], v[0], w[0]
 
 
 def check_symmetric_weights(a) -> np.ndarray:
-    w = np.asarray(a, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square weight matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = _raw_square_matrix(a)
     if np.any(w != w.T):
         raise ValueError("weights must be symmetric")
     if np.any(w < 0):
@@ -102,14 +99,20 @@ def check_symmetric_weights(a) -> np.ndarray:
     return w
 
 
-def _weighted_triple(a, x, y, z):
-    """Gates shared by the weighted-triple verifiers; returns kernel-ready single rows."""
+def _weighted_rows(a, x, y, z):
+    """Single rows (E_ij, x, y, z) for a weighted-triple kernel; the triple is checked, not repaired."""
     w = check_symmetric_weights(a)
-    x, y, z = ensure_orthonormal_triple(x, y, z)
-    if w.shape[0] != x.size:
+    vs = _orthonormal_gate(x, y, z)
+    if w.shape[0] != vs[0].size:
         raise ValueError("weight matrix does not match the state dimension")
-    i, j = pair_indices(x.size)
-    return w[i, j][None], x[None], y[None], z[None]
+    i, j = pair_indices(w.shape[0])
+    return (w[i, j][None], *(v[None] for v in vs))
+
+
+def _weighted_triple(a, x, y, z):
+    """Kernel rows of the public verifiers: the gated rows with the triple polished."""
+    wts, *triple = _weighted_rows(a, x, y, z)
+    return (wts, *_orthonormalize_triples(*triple)[:3])
 
 
 def _sq(m: np.ndarray) -> np.ndarray:
@@ -228,6 +231,13 @@ def check_projector_inequality(s, b: Bivector, v) -> ProjectorDefects:
 CONVEXITY_SHAPES = ("max", "min", "sum", "powersum")
 
 
+def _check_shape(fname: str, p: float | None) -> None:
+    if fname not in CONVEXITY_SHAPES:
+        raise ValueError(f"unknown fname {fname!r}; expected one of {CONVEXITY_SHAPES}")
+    if fname == "powersum" and (p is None or p < 2):
+        raise ValueError("powersum needs the exponent p of its concave regime, p >= 2")
+
+
 def check_convexity(fname: str, a, x, y, z, p: float | None = None) -> float:
     """Defect of the symmetric convexity bound for f in {max, min, sum, powersum}.
 
@@ -236,13 +246,7 @@ def check_convexity(fname: str, a, x, y, z, p: float | None = None) -> float:
     so a nonnegative value means the bound held: average - f(g) for convex f
     (max), f(g) - average for concave f (min, sum, powersum with p >= 2).
     """
-    if fname not in CONVEXITY_SHAPES:
-        raise ValueError(f"unknown fname {fname!r}; expected one of {CONVEXITY_SHAPES}")
-    if fname == "powersum":
-        if p is None:
-            raise ValueError("powersum needs the exponent p")
-        if p < 2:
-            raise ValueError("powersum is used in its concave regime, p >= 2")
+    _check_shape(fname, p)
     return float(_convexity_rows((fname,), *_weighted_triple(a, x, y, z), p)[0, 0])
 
 
@@ -257,8 +261,7 @@ def triangle_defect(entries, p: float, x, y, z) -> tuple[float, float]:
     """Signed triangle slack for one triple: (sum - 2 max of the three
     distances, the largest distance).  The first value is the minimum over
     the three cyclic defects."""
-    wts, xv, yv = _dp_inputs(entries, p, x, y)
-    _, zv = _pair_of_vectors(xv, z)
+    wts, xv, yv, zv = _dp_inputs(entries, p, x, y, z)
     slack, dmax, _ = _triangle_rows(wts, p, xv[None], yv[None], zv[None])
     return float(slack[0]), float(dmax[0])
 
@@ -303,8 +306,7 @@ def check_orthonormal_reduction(
       checks over ``SUBSPACE_SAMPLES`` random orthonormal triples drawn inside
       V from the stream ``trial_rng(inner_seed, inner_stream)``.
     """
-    wts, xv, yv = _dp_inputs(e.entries if isinstance(e, DistanceMatrix) else e, p, x, y)
-    _, zv = _pair_of_vectors(xv, z)
+    wts, xv, yv, zv = _dp_inputs(e.entries if isinstance(e, DistanceMatrix) else e, p, x, y, z)
     if xv.size < 3:
         raise ValueError(f"cannot span 3 dimensions inside C^{xv.size}")
     draws = _subspace_draws(inner_seed, [inner_stream], SUBSPACE_SAMPLES)

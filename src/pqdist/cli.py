@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ from ._version import __version__
 from . import fileio
 from .checks import counterexample_p_lt_2
 from .fuzz import PROPERTIES, TrialConfig, run_fuzz
-from .metric import DpMetric, d_hs, d_p, embed, validate_distance_matrix
+from .metric import DistanceMatrix, DpMetric, _check_exponent, d_hs, d_p, embed, validate_distance_matrix
 from .sampling import MATRIX_MODES
 
 USAGE_ERROR = 2
@@ -32,8 +31,7 @@ def _fail(code: int, message: str) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        raw = fileio.load_matrix(args.matrix)
-        result = validate_distance_matrix(raw)
+        result = validate_distance_matrix(fileio.load_matrix(args.matrix))
     except (OSError, ValueError, json.JSONDecodeError) as ex:
         return _fail(USAGE_ERROR, str(ex))
     if result.ok:
@@ -47,50 +45,32 @@ def cmd_validate(args) -> int:
 
 def cmd_dist(args) -> int:
     try:
-        raw = fileio.load_matrix(args.matrix)
-        result = validate_distance_matrix(raw)
-        if not result.ok:
-            first = result.violations[0]
-            return _fail(USAGE_ERROR, f"matrix is not a distance matrix ({first.detail})")
+        metric = DpMetric(DistanceMatrix.from_array(fileio.load_matrix(args.matrix)), args.p)
         x = fileio.load_state(args.x)
         y = fileio.load_state(args.y)
+        dist, hs = d_p(metric, x, y), d_hs(x, y)
     except (OSError, ValueError, json.JSONDecodeError) as ex:
         return _fail(USAGE_ERROR, str(ex))
-    if not (0 < args.p < math.inf):
-        return _fail(USAGE_ERROR, "p must be positive and finite")
     if args.p < 2:
         print(f"warning: p={args.p:g} < 2 is not guaranteed to be a metric", file=sys.stderr)
-    if x.size != result.matrix.n or y.size != result.matrix.n:
-        return _fail(
-            USAGE_ERROR,
-            f"dimension mismatch: matrix n={result.matrix.n}, states {x.size} and {y.size}",
-        )
-    metric = DpMetric(result.matrix, args.p)
-    dist = d_p(metric, x, y)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"n": result.matrix.n, "p": args.p, "distance": dist, "hs_distance": d_hs(x, y)}
-            )
-        )
+        print(json.dumps({"n": metric.E.n, "p": args.p, "distance": dist, "hs_distance": hs}))
     elif args.format == "csv":
         print("n,p,distance,hs_distance")
-        print(f"{result.matrix.n},{args.p:.15g},{dist:.15g},{d_hs(x, y):.15g}")
+        print(f"{metric.E.n},{args.p:.15g},{dist:.15g},{hs:.15g}")
     else:
         print(f"{dist:.15g}")
     return 0
 
 
 def _config_from_args(args, base: dict) -> TrialConfig:
-    merged = {
-        "n": args.n if args.n is not None else base.get("n"),
-        "p": args.p if args.p is not None else base.get("p", 2.0),
-        "trials": args.trials if args.trials is not None else base.get("trials", 1000),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "matrix_mode": args.mode if args.mode is not None else base.get("matrix_mode", "euclidean-points"),
-        "tolerance": args.tolerance if args.tolerance is not None else base.get("tolerance", 1e-9),
-    }
-    if merged["n"] is None:
+    """TrialConfig from the config file's fields (``property`` aside), overridden by the flags given."""
+    flags = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
+             "matrix_mode": args.mode, "tolerance": args.tolerance}
+    merged = {"p": 2.0, "trials": 1000, "seed": 0, **base}
+    merged.pop("property", None)
+    merged.update((k, v) for k, v in flags.items() if v is not None)
+    if merged.get("n") is None:
         raise ValueError("the dimension --n is required (flag or config file)")
     return TrialConfig.from_dict(merged, args.config or "trial config")
 
@@ -100,12 +80,7 @@ def cmd_fuzz(args) -> int:
         base = fileio.load_object(args.config) if args.config else {}
         matrix = None
         if args.matrix:
-            raw = fileio.load_matrix(args.matrix)
-            result = validate_distance_matrix(raw)
-            if not result.ok:
-                first = result.violations[0]
-                return _fail(USAGE_ERROR, f"matrix is not a distance matrix ({first.detail})")
-            matrix = result.matrix
+            matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix))
             if args.n is None:
                 args.n = matrix.n
             args.mode = "user-supplied"
@@ -159,23 +134,16 @@ def _fmt_state(v) -> str:
 
 
 def cmd_embed(args) -> int:
-    if not (0 < args.p < math.inf):
-        return _fail(USAGE_ERROR, "p must be positive and finite")
     try:
-        raw = fileio.load_matrix(args.matrix)
+        _check_exponent(args.p)
+        result = validate_distance_matrix(fileio.load_matrix(args.matrix))
     except (OSError, ValueError, json.JSONDecodeError) as ex:
         return _fail(USAGE_ERROR, str(ex))
-    result = validate_distance_matrix(raw)
     if not result.ok:
         print("invalid distance matrix:", file=sys.stderr)
         for v in result.violations[:10]:
             print(f"  {v.kind} at {v.indices}: {v.detail}", file=sys.stderr)
         return PROPERTY_FAILURE
-    if args.p < 2:
-        return _fail(
-            PROPERTY_FAILURE,
-            f"p={args.p:g} < 2 does not induce a metric; embedding requires p >= 2",
-        )
     try:
         states, metric = embed(result.matrix, args.p)
     except (ValueError, ArithmeticError) as ex:

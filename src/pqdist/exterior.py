@@ -98,11 +98,12 @@ def _vector(x) -> np.ndarray:
     return v
 
 
-def _pair_of_vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv, yv = _vector(x), _vector(y)
-    if xv.size != yv.size:
-        raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
-    return xv, yv
+def _vectors(*vs) -> tuple[np.ndarray, ...]:
+    """The arguments as 1-D complex vectors of one dimension."""
+    out = tuple(map(_vector, vs))
+    if len({v.size for v in out}) > 1:
+        raise ValueError("dimension mismatch: " + " vs ".join(str(v.size) for v in out))
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,44 +145,48 @@ class Trivector(_Multivector):
 
 def inner(x, y) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
-    xv, yv = _pair_of_vectors(x, y)
+    xv, yv = _vectors(x, y)
     return complex(np.vdot(xv, yv))
 
 
-def minors2(x: np.ndarray, y: np.ndarray, i, j) -> np.ndarray:
-    """2x2 minors x_i y_j - x_j y_i over the index arrays (i, j) of the last axis.
+@lru_cache(maxsize=None)
+def _pair_gather(n: int) -> np.ndarray:
+    """The index arrays (i, j) of ``pair_indices(n)``, concatenated."""
+    ij = np.concatenate(pair_indices(n))
+    ij.setflags(write=False)
+    return ij
+
+
+def minors2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2x2 minors x_i y_j - x_j y_i over the pairs i < j of the last axis, in ``pair_indices`` order.
 
     Written as x_i y_j - y_i x_j so that swapping x and y swaps the two
     products operand for operand: the result negates *bitwise* (complex a*b is
     not bit-commutative under FMA contraction, but IEEE a - b is exactly
-    -(b - a)); in particular minors2(x, x, ...) is exactly zero.  Each operand
+    -(b - a)); in particular minors2(x, x) is exactly zero.  Each operand
     is gathered once: every fancy-index gather releases the GIL, and on small
     arrays each release hands it to the other campaign thread.
     """
-    k = len(i)
-    ij = np.concatenate([i, j])
+    ij = _pair_gather(x.shape[-1])
+    k = ij.size // 2
     xg, yg = x[..., ij], y[..., ij]
     return xg[..., :k] * yg[..., k:] - yg[..., :k] * xg[..., k:]
 
 
 def wedge2(x, y) -> Bivector:
     """Wedge of two vectors: coefficients are the 2x2 minors x_i y_j - x_j y_i."""
-    xv, yv = _pair_of_vectors(x, y)
-    n = xv.size
-    if n < 2:
+    xv, yv = _vectors(x, y)
+    if xv.size < 2:
         raise ValueError("wedge2 needs dimension >= 2")
-    i, j = pair_indices(n)
-    return Bivector(n, minors2(xv, yv, i, j))
+    return Bivector(xv.size, minors2(xv, yv))
 
 
 def wedge3(x, y, z) -> Trivector:
     """Wedge of three vectors: coefficients are the 3x3 minors of the stacked rows."""
-    xv, yv = _pair_of_vectors(x, y)
-    _, zv = _pair_of_vectors(xv, z)
-    n = xv.size
-    if n < 3:
+    xv, yv, zv = _vectors(x, y, z)
+    if xv.size < 3:
         raise ValueError("wedge3 needs dimension >= 3")
-    return Trivector(n, _minors3(xv, yv, zv))
+    return Trivector(xv.size, _minors3(xv, yv, zv))
 
 
 def _minors3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -190,8 +195,7 @@ def _minors3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     Laplace expansion along x: the minors of x ^ y ^ z are the coefficients
     of (y ^ z) ^ x, so the 2x2 minors are formed once per pair, not per triple.
     """
-    i, j = pair_indices(x.shape[-1])
-    return _wedge_bv_coeffs(minors2(y, z, i, j), x)
+    return _wedge_bv_coeffs(minors2(y, z), x)
 
 
 def wedge_bv(b: Bivector, v) -> Trivector:
@@ -220,10 +224,10 @@ def _wedge_bv_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def cross3(x, y) -> np.ndarray:
     """Bilinear cross product on C^3 (no conjugation): the minors (m12, -m02, m01) of x ^ y."""
-    xv, yv = _pair_of_vectors(x, y)
+    xv, yv = _vectors(x, y)
     if xv.size != 3:
         raise ValueError("cross3 is defined on C^3 only")
-    m01, m02, m12 = minors2(xv, yv, *pair_indices(3))
+    m01, m02, m12 = minors2(xv, yv)
     return np.array([m12, -m02, m01])
 
 
@@ -272,8 +276,7 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
 
 def _wedge_basis(v: np.ndarray) -> np.ndarray:
     """Wedge basis (v2^v3, v3^v1, v1^v2) of the rows (..., 3, n), stacked on axis -2."""
-    i, j = pair_indices(v.shape[-1])
-    return minors2(v[..., [1, 2, 0], :], v[..., [2, 0, 1], :], i, j)
+    return minors2(v[..., [1, 2, 0], :], v[..., [2, 0, 1], :])
 
 
 def _hodge_frame(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -35,27 +35,31 @@ _REQUIRED = object()
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
+def _object(doc, where) -> dict:
+    """``doc``, which must be a JSON object; otherwise ValueError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_object(path) -> dict:
     """Parse a JSON file whose document must be an object."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+        return _object(json.load(fh), path)
 
 
 def get_field(doc: dict, key: str, kind: type, where, default=_REQUIRED):
     """``doc[key]`` converted to ``kind`` (int, float, str or list), or ``default`` if absent.
 
-    A missing key without a default, or a value of another JSON type, raises
-    ValueError naming ``where``.
+    A missing key without a default, or a value of another JSON type (a
+    boolean is not a number), raises ValueError naming ``where``.
     """
     if key not in doc:
         if default is _REQUIRED:
             raise ValueError(f"{where}: missing key {key!r}")
         return default
     value = doc[key]
-    if not isinstance(value, _JSON_TYPES[kind]):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise ValueError(f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return kind(value)
 
@@ -66,6 +70,16 @@ def _number_rows(doc: dict, key: str, path) -> np.ndarray:
     if not all(type(r) is list for r in rows) or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         raise ValueError(f"{path}: key {key!r} must be a list of lists of numbers")
     return np.asarray(rows, dtype=float)
+
+
+def _complex_rows(doc: dict, key: str, path) -> np.ndarray:
+    """``doc[key]`` as a complex vector; it must be a list of finite [re, im] number pairs."""
+    a = _number_rows(doc, key, path)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"{path}: key {key!r} must be a list of [re, im] pairs")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{path}: key {key!r} must be finite")
+    return _l2c(a)
 
 
 def _m2l(m) -> list:  # matrix rows as lists of floats
@@ -98,15 +112,13 @@ def save_matrix(path, entries) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Parse a matrix file; shape and finiteness are enforced here, the metric
-    axioms are left to validate_distance_matrix."""
+    """Parse a matrix file and check its declared size; finiteness and the
+    metric axioms are left to validate_distance_matrix."""
     doc = load_object(path)
     n = get_field(doc, "n", int, path)
     a = _number_rows(doc, "entries", path)
     if a.shape != (n, n):
         raise ValueError(f"{path}: declared n={n} but entries have shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{path}: entries must be finite")
     return a
 
 
@@ -123,12 +135,9 @@ def load_state(path) -> np.ndarray:
     """Parse a state file; its norm must be 1 within 1e-9."""
     doc = load_object(path)
     n = get_field(doc, "n", int, path)
-    amps = _number_rows(doc, "amplitudes", path)
-    if amps.shape != (n, 2):
-        raise ValueError(f"{path}: declared n={n} but got {amps.shape[0]} amplitude pairs")
-    v = _l2c(amps)
-    if not np.all(np.isfinite(amps)):
-        raise ValueError(f"{path}: amplitudes must be finite")
+    v = _complex_rows(doc, "amplitudes", path)
+    if v.size != n:
+        raise ValueError(f"{path}: declared n={n} but got {v.size} amplitude pairs")
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"{path}: state is not normalized (norm = {nrm!r})")
@@ -142,5 +151,4 @@ def write_report(path, report_dict: dict) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    return load_object(path)

@@ -34,7 +34,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -44,6 +44,7 @@ from .checks import (
     HODGE_RESIDUAL_TOL,
     MU_CONSISTENCY_TOL,
     SUBSPACE_SAMPLES,
+    _check_shape,
     _convexity_rows,
     _minorial_rows,
     _projector_rows,
@@ -52,15 +53,13 @@ from .checks import (
     _subspace_draws,
     _triangle_rows,
     _w1_rows,
-    check_convexity,
-    check_generator_identity_w1,
-    check_minorial,
+    _weighted_rows,
     check_orthonormal_reduction,
     check_projector_inequality,
     triangle_defect,
 )
 from .exterior import Bivector, pair_indices
-from .fileio import _c2l, _l2c, _m2l, get_field
+from .fileio import _c2l, _complex_rows, _m2l, _number_rows, _object, get_field
 from .metric import DistanceMatrix, _check_exponent, _in_slices, pair_weights
 from .sampling import (
     MATRIX_MODES,
@@ -112,16 +111,17 @@ class TrialConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "trial config") -> "TrialConfig":
-        """Config from a JSON object; a missing or mistyped field raises ValueError naming ``where``."""
-        if not isinstance(d, dict):
-            raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+        """Config from a JSON object; a missing, mistyped or unknown field raises ValueError naming ``where``."""
+        unknown = sorted(set(_object(d, where)) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
         return cls(
             n=get_field(d, "n", int, where),
             p=get_field(d, "p", float, where),
             trials=get_field(d, "trials", int, where),
             seed=get_field(d, "seed", int, where),
-            matrix_mode=get_field(d, "matrix_mode", str, where, "euclidean-points"),
-            tolerance=get_field(d, "tolerance", float, where, 1e-9),
+            matrix_mode=get_field(d, "matrix_mode", str, where, cls.matrix_mode),
+            tolerance=get_field(d, "tolerance", float, where, cls.tolerance),
         )
 
 
@@ -440,36 +440,34 @@ def run_fuzz(
 
 
 def reevaluate_witness(prop: str, witness: dict) -> float:
-    """Recompute a witness defect from its serialized inputs alone."""
+    """Recompute a witness defect, bit for bit, from its serialized inputs alone.
+
+    A missing or mistyped field raises ValueError; inputs are checked, never repaired."""
+    where = f"{prop} witness"
+    w = _object(witness, where)
     if prop == "projector":
-        b = Bivector(int(witness["n"]), _l2c(witness["bivector"]))
-        d = check_projector_inequality([tuple(pr) for pr in witness["pairs"]], b, _l2c(witness["v"]))
+        b = Bivector(get_field(w, "n", int, where), _complex_rows(w, "bivector", where))
+        _number_rows(w, "pairs", where)  # a list of lists; the verifier checks each pair
+        d = check_projector_inequality(w["pairs"], b, _complex_rows(w, "v", where))
         return min(d.outer, d.inner)
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    x, y, z = (_l2c(witness[k]) for k in ("x", "y", "z"))
+    x, y, z = (_complex_rows(w, k, where) for k in ("x", "y", "z"))
+    if prop in ("triangle", "reduction"):
+        e, p = _number_rows(w, "matrix", where), get_field(w, "p", float, where)
     if prop == "triangle":
-        d, dmax = triangle_defect(np.asarray(witness["matrix"], dtype=float), float(witness["p"]), x, y, z)
+        d, dmax = triangle_defect(e, p, x, y, z)
         return d / max(1.0, dmax)
     if prop == "reduction":
-        tol = float(witness["tolerance"])
-        rep = check_orthonormal_reduction(
-            np.asarray(witness["matrix"], dtype=float),
-            float(witness["p"]),
-            x,
-            y,
-            z,
-            inner_seed=int(witness["inner_seed"]),
-            inner_stream=int(witness["inner_stream"]),
-            tol=tol,
-        )
-        return float(
-            _reduction_defect(rep.hodge_residual, rep.mu_residual, rep.spectral_margin, rep.subspace_fuzz_ok, tol)
-        )
-    a = np.asarray(witness["weights"], dtype=float)
+        tol = get_field(w, "tolerance", float, where)
+        stream = {k: get_field(w, k, int, where) for k in ("inner_seed", "inner_stream")}
+        r = check_orthonormal_reduction(e, p, x, y, z, **stream, tol=tol)
+        return float(_reduction_defect(r.hodge_residual, r.mu_residual, r.spectral_margin, r.subspace_fuzz_ok, tol))
+    rows = _weighted_rows(_number_rows(w, "weights", where), x, y, z)
     if prop == "minorial":
-        d = check_minorial(a, x, y, z)
-        return min(d.lower, d.upper)
+        return float(np.minimum(*_minorial_rows(*rows))[0])
     if prop == "convexity":
-        return check_convexity(witness["fname"], a, x, y, z, p=float(witness["p"]))
-    return -check_generator_identity_w1(a, x, y, z)
+        fname, p = get_field(w, "fname", str, where), get_field(w, "p", float, where)
+        _check_shape(fname, p)
+        return float(_convexity_rows((fname,), *rows, p)[0, 0])
+    return -float(_w1_rows(*rows)[2][0])

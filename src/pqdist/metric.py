@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import _pair_of_vectors, _row_sums, _wedge_basis, minors2, pair_indices
+from .exterior import _row_sums, _vectors, _wedge_basis, minors2, pair_indices
 
 __all__ = [
     "DistanceMatrix",
@@ -236,7 +236,7 @@ def _check_exponent(p: float) -> None:
 
 def d_hs(x, y) -> float:
     """Hilbert-Schmidt distance sqrt(1 - |<x|y>|^2) between unit vectors."""
-    xv, yv = _pair_of_vectors(x, y)
+    xv, yv = _vectors(x, y)
     overlap = abs(np.vdot(xv, yv)) ** 2
     return float(np.sqrt(1.0 - min(max(overlap, 0.0), 1.0)))
 
@@ -258,20 +258,19 @@ def dp_from_weights(entries, p: float, x, y) -> float:
     return float(_dp_rows(wts, p, xv[None], yv[None])[0])
 
 
-def _dp_inputs(entries, p: float, x, y):
-    """Input gates of the d_p evaluators; returns (pair weights E_ij^p, x, y)."""
+def _dp_inputs(entries, p: float, *states):
+    """Input gates of the d_p evaluators; returns (pair weights E_ij^p, *states as vectors)."""
     _check_exponent(p)
-    xv, yv = _pair_of_vectors(x, y)
+    vs = _vectors(*states)
     a = np.asarray(entries, dtype=float)
-    if a.shape[0] != xv.size:
-        raise ValueError(f"dimension mismatch: matrix is {a.shape[0]}, states are {xv.size}")
-    return pair_weights(a, p), xv, yv
+    if a.shape != (vs[0].size,) * 2:
+        raise ValueError(f"dimension mismatch: matrix is {a.shape}, states are {vs[0].size}")
+    return (pair_weights(a, p), *vs)
 
 
 def _minor_sums(wts: np.ndarray, x: np.ndarray, y: np.ndarray):
     """(sums, minors): the pair-weighted squared 2x2-minor sums of the rows of x and y, and their minors."""
-    i, j = pair_indices(x.shape[-1])
-    minors = minors2(x, y, i, j)  # bit-antisymmetric, so the sums are bit-symmetric
+    minors = minors2(x, y)  # bit-antisymmetric, so the sums are bit-symmetric
     return _row_sums(wts * (minors.real**2 + minors.imag**2)), minors
 
 

@@ -130,6 +130,9 @@ class TestMinorial:
         neg = -sample_symmetric_weights(4, rng)
         with pytest.raises(ValueError, match="nonnegative"):
             check_minorial(neg, x, y, z)
+        # complex weights are rejected, not silently cut to their real part
+        with pytest.raises(ValueError, match="real"):
+            check_minorial(sample_symmetric_weights(4, rng) * (1 + 1e-3j), x, y, z)
 
 
 class TestProjector:

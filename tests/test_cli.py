@@ -130,6 +130,45 @@ class TestMalformedInputFiles:
         assert main(["fuzz", "--config", path]) == 2
         assert path in capsys.readouterr().err
 
+    def test_fuzz_config_misspelled_key(self, tmp_path, capsys):
+        # "trails" used to be ignored, and the run went on with 1000 trials
+        path = self.write(tmp_path, {"property": "triangle", "n": 3, "trails": 5})
+        assert main(["fuzz", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "'trails'" in err
+
+    def test_fuzz_config_booleans(self, tmp_path, capsys):
+        # true/false used to read as 1/0: p=1.0, one trial
+        path = self.write(tmp_path, {"property": "triangle", "n": 3, "p": True, "trials": True, "seed": False})
+        assert main(["fuzz", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "got bool" in err
+
+    def test_validate_boolean_n(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"n": True, "entries": [[0]]})
+        assert main(["validate", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_dist_state_with_extra_column(self, files, tmp_path, capsys):
+        path = self.write(tmp_path, {"n": 2, "amplitudes": [[1, 0, 9], [0, 0, 9]]})
+        assert main(["dist", files["valid"], path, files["e2"]]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_non_finite_matrix_entries(self, files, tmp_path, capsys):
+        # NaN is not strict JSON, but Python's parser reads it; the library's gate rejects it
+        nan = float("nan")
+        path = self.write(tmp_path, {"n": 2, "entries": [[0, nan], [nan, 0]]})
+        for argv in (["validate", path], ["dist", path, files["e1"], files["e2"]],
+                     ["fuzz", "--property", "triangle", "--matrix", path, "--trials", "10"],
+                     ["embed", path, "--out", str(tmp_path / "b")]):
+            assert main(argv) == 2
+            assert "finite" in capsys.readouterr().err
+
+    def test_embed_one_point_matrix(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"n": 1, "entries": [[0]]})
+        assert main(["embed", path, "--out", str(tmp_path / "b")]) == 2
+        assert "size >= 2" in capsys.readouterr().err
+
 
 class TestFuzz:
     def test_clean_triangle_run(self, files, capsys):

@@ -63,8 +63,11 @@ class TestDocumentShape:
             (fileio.load_matrix, {"n": 2, "entries": {"0": [0, 1]}}, "'entries' must be list, got dict"),
             (fileio.load_matrix, {"n": 2, "entries": [[0, {}], [1, 0]]}, "list of lists of numbers"),
             (fileio.load_state, {"n": 1}, "missing key 'amplitudes'"),
+            (fileio.load_matrix, {"n": True, "entries": [[0]]}, "'n' must be int, got bool"),
+            (fileio.load_state, {"n": 1, "amplitudes": [[1, 0, 9.0]]}, r"\[re, im\] pairs"),
+            (fileio.load_report, [{"property": "triangle"}], "expected a JSON object, got list"),
         ],
-        ids=["string-n", "object-entries", "object-entry", "no-amplitudes"],
+        ids=["string-n", "object-entries", "object-entry", "no-amplitudes", "bool-n", "extra-column", "report-list"],
     )
     def test_rejected_with_the_file_named(self, tmp_path, load, doc, match):
         path = tmp_path / "doc.json"

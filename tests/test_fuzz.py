@@ -113,6 +113,12 @@ class TestAllProperties:
             ("triangle", TrialConfig(n=16, p=2.5, trials=1024, seed=5)),
             ("projector", TrialConfig(n=12, p=2.0, trials=1024, seed=3)),
             ("projector", TrialConfig(n=24, p=2.0, trials=512, seed=3)),
+            ("minorial", TrialConfig(n=6, p=2.0, trials=600, seed=11)),
+            ("minorial", TrialConfig(n=16, p=2.0, trials=520, seed=11, matrix_mode="zero-one")),
+            ("convexity", TrialConfig(n=3, p=3.0, trials=600, seed=11, matrix_mode="zero-one")),
+            ("convexity", TrialConfig(n=6, p=3.0, trials=600, seed=11)),
+            ("w1", TrialConfig(n=4, p=2.0, trials=600, seed=11, matrix_mode="zero-one")),
+            ("w1", TrialConfig(n=6, p=2.0, trials=600, seed=11)),
         ],
     )
     def test_witness_reevaluates_bitwise(self, prop, cfg):
@@ -147,6 +153,27 @@ class TestAllProperties:
     def test_witness_trial_index_in_range(self):
         rep = run_fuzz("projector", TrialConfig(n=4, p=2.0, trials=700, seed=6))
         assert 0 <= rep.witness["trial"] < 700
+
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_malformed_witness_raises_value_error(self, prop):
+        cfg = TrialConfig(n=4, p=2.0, trials=20, seed=3)
+        good = json.loads(json.dumps(run_fuzz(prop, cfg).witness))
+        with pytest.raises(ValueError, match="witness: missing key"):
+            reevaluate_witness(prop, {})
+        with pytest.raises(ValueError, match="expected a JSON object, got list"):
+            reevaluate_witness(prop, [good])
+        key = "v" if prop == "projector" else "x"
+        with pytest.raises(ValueError, match=f"'{key}' must be list, got int"):
+            reevaluate_witness(prop, {**good, key: 5})
+        # an extra column is rejected, not dropped
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            reevaluate_witness(prop, {**good, key: [row + [9.0] for row in good[key]]})
+
+    @pytest.mark.parametrize("prop", ["minorial", "convexity", "w1"])
+    def test_replay_checks_orthonormality_without_repair(self, prop):
+        w = json.loads(json.dumps(run_fuzz(prop, TrialConfig(n=4, p=2.0, trials=20, seed=3)).witness))
+        with pytest.raises(ValueError, match="not orthonormal"):
+            reevaluate_witness(prop, {**w, "y": w["x"]})
 
 
 def _width(prop: str, n: int) -> int:
@@ -225,6 +252,15 @@ class TestValidationErrors:
             TrialConfig.from_dict({"n": 3, "p": 2.0, "seed": 0})
         with pytest.raises(ValueError, match="'n' must be int, got list"):
             TrialConfig.from_dict({**good, "n": [3]})
+        # a misspelled key is an error, not a silently ignored field
+        with pytest.raises(ValueError, match="unknown key.*'tolerence'"):
+            TrialConfig.from_dict({**good, "tolerence": 1e-3})
+        with pytest.raises(ValueError, match="unknown key.*'property'"):
+            TrialConfig.from_dict({**good, "property": "triangle"})
+        # JSON booleans are not numbers, although Python's bool subclasses int
+        for key in ("n", "p", "trials", "seed", "tolerance"):
+            with pytest.raises(ValueError, match=f"'{key}' must be .*, got bool"):
+                TrialConfig.from_dict({**good, key: True})
 
     def test_matrix_mode_mismatches(self):
         m = DistanceMatrix.from_array([[0, 1], [1, 0]])

@@ -207,6 +207,10 @@ class TestDp:
         e = DistanceMatrix.from_array([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="mismatch"):
             d_p(DpMetric(e, 2.0), unit_vector(rng, 3), unit_vector(rng, 3))
+        # a non-square or scalar weight array is a mismatch, not a silent misread
+        for bad in (np.ones((2, 3)), 1.0):
+            with pytest.raises(ValueError, match="mismatch"):
+                dp_from_weights(bad, 2.0, basis(2, 0), basis(2, 1))
 
     def test_invalid_exponent(self, rng):
         e = DistanceMatrix.from_array([[0, 1], [1, 0]])
