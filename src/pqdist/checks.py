@@ -199,12 +199,12 @@ def check_minorial(a, x, y, z) -> MinorialDefects:
 def _pair_mask(s, n: int) -> np.ndarray:
     """Boolean mask over the lexicographic pairs listed (in either order) in ``s``.
 
-    Each pair must be exactly two integers, distinct and in range(n).
+    Each pair must be exactly two integers (not booleans), distinct and in range(n).
     """
     mask = np.zeros(n * (n - 1) // 2, dtype=bool)
     pos = pair_positions(n)
     for pr in s:
-        if len(pr) != 2 or not all(isinstance(k, (int, np.integer)) for k in pr):
+        if len(pr) != 2 or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in pr):
             raise ValueError(f"pair {pr!r} is not two integer indices")
         i, j = int(pr[0]), int(pr[1])
         if i == j:

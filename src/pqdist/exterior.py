@@ -16,11 +16,13 @@ kernels in ``checks``, ``metric`` and ``optimize`` call these directly.
 
 Each row of a stacked result equals, bit for bit, the result for that row
 alone, whatever the number of rows, so row slices of a stack give the bits
-of the whole stack (``_interior_rows``, one matmul, is the exception).  Two
-rules keep it so.  numpy may run ``a * tmp`` as ``tmp *= a`` when ``tmp`` is
-a large temporary, and complex products are not bit-commutative under FMA
-contraction; so no complex product here has a temporary on its right beside
-a named array on its left.  And every sum over the last axis goes through
+of the whole stack.  ``_interior_rows``, one matmul, is the exception for
+n > 3; at n = 3 each of its outputs adds exactly two nonzero terms, so its
+bits do not depend on the row count there either.  Two rules keep it so.
+numpy may run ``a * tmp`` as ``tmp *= a`` when ``tmp`` is a large temporary,
+and complex products are not bit-commutative under FMA contraction; so no
+complex product here has a temporary on its right beside a named array on
+its left.  And every sum over the last axis goes through
 ``_row_sums``: a fancy-index gather along the last axis comes back in
 Fortran order, which keeps the elementwise work in one contiguous loop, but
 numpy then sums a stack's rows one term at a time and a lone row pairwise.

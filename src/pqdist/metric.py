@@ -93,11 +93,16 @@ class ValidationResult:
     matrix: DistanceMatrix | None = None
 
 
-def _raw_square_matrix(m) -> np.ndarray:
+def _real_entries(m) -> np.ndarray:
+    """``m`` as a float array; complex entries raise instead of losing their imaginary part."""
     a = np.asarray(m)
     if np.iscomplexobj(a):
         raise ValueError("matrix entries must be real")
-    a = a.astype(float)
+    return a.astype(float)
+
+
+def _raw_square_matrix(m) -> np.ndarray:
+    a = _real_entries(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 2:
@@ -262,7 +267,7 @@ def _dp_inputs(entries, p: float, *states):
     """Input gates of the d_p evaluators; returns (pair weights E_ij^p, *states as vectors)."""
     _check_exponent(p)
     vs = _vectors(*states)
-    a = np.asarray(entries, dtype=float)
+    a = _real_entries(entries)
     if a.shape != (vs[0].size,) * 2:
         raise ValueError(f"dimension mismatch: matrix is {a.shape}, states are {vs[0].size}")
     return (pair_weights(a, p), *vs)

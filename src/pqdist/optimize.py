@@ -7,10 +7,12 @@ multi-start projected gradient descent.  All restarts form one stacked
 iterate, and each keeps its own step length: a trial point is accepted on
 sufficient decrease (Armijo, f_new <= f - c1 * step * |g|^2), after which the
 step doubles up to a fixed multiple of the initial step; a rejected trial
-halves it.  When twice the largest weight is at most their sum the minimum is
-zero (attained at degenerate triples); when it exceeds the sum the canonical
-basis is already a witness, so the canonical permutations are seeded as the
-first restarts.
+halves it.  A stopped restart leaves the stack after one more evaluation, of
+the trial point its last update made; after that it would only repeat a value
+that cannot beat the best.  When twice the largest weight is at most their
+sum the minimum is zero (attained at degenerate triples); when it exceeds the
+sum the canonical basis is already a witness, so the canonical permutations
+are seeded as the first restarts.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ _ARMIJO_C1 = 1e-4  # sufficient-decrease constant
 _STEP_GROWTH = 2.0  # step factor after an accepted trial
 _STEP_CAP = 4.0  # largest step, as a multiple of _STEP0
 
-# Left, then right operands of the pair terms (x,z), (y,z), (x,y) of a stacked
-# triple (x, y, z), and the signs with which their distances enter the defect.
-_OPERANDS = np.array([0, 1, 0, 2, 2, 1])
-_SIGNS = np.array([1.0, 1.0, -1.0])
+_SIGNS = np.array([1.0, 1.0, -1.0])  # of the pair terms (x,z), (y,z), (x,y) in the defect
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,12 @@ def _normalize_rows(a: np.ndarray) -> np.ndarray:
     return a / np.linalg.norm(a, axis=-1, keepdims=True)
 
 
+def _squared_norms(g: np.ndarray) -> np.ndarray:
+    """|g|^2 of each restart of a stack (3, r, n), added in the same order for every r (a one-call
+    sum over axes (0, 2) coalesces the axes of a one-row stack and adds in another order)."""
+    return (g.real**2 + g.imag**2).sum(axis=2).sum(axis=0)
+
+
 def _defect_and_gradient(v: np.ndarray, wts: np.ndarray, inv_p: float):
     """Defect and its gradient for stacked triples ``v`` of shape (3, r, n).
 
@@ -58,9 +63,11 @@ def _defect_and_gradient(v: np.ndarray, wts: np.ndarray, inv_p: float):
     vector, shape (3, r, n).  One minor-sum call gives all three pair terms.
     The gradient of sum E^p |m|^2, m = a ^ b, is -i_b(E^p m) in conj(a) and
     i_a(E^p m) in conj(b), i being the interior product ``_interior_rows``;
-    one call of it gives all six.
+    one call of it gives all six.  Operands and gradient are built from
+    slices, since a fancy-index gather releases the GIL at any size.
     """
-    ab = v[_OPERANDS]
+    # Left, then right operands of the three terms: (x, y, x), (z, z, y).
+    ab = np.concatenate([v[:2], v[:1], v[2:], v[2:0:-1]])
     s, m = _minor_sums(wts, ab[:3], ab[3:])
     d = np.maximum(s, 0.0) ** inv_p
     f = d[0] + d[1] - d[2]
@@ -68,9 +75,10 @@ def _defect_and_gradient(v: np.ndarray, wts: np.ndarray, inv_p: float):
     # d/ds of s^(1/p), guarded at the non-smooth s = 0 locus
     w = np.where(s > 1e-280, inv_p * np.maximum(s, 1e-300) ** (inv_p - 1.0), 0.0)
     c = (_SIGNS[:, None] * w)[..., None] * wts * m
-    # Rows 0-2: each term's gradient in its right operand; rows 3-5: in its left.
+    # Rows 0-2: each term's gradient in its right operand (z, z, y); rows 3-5:
+    # in its left (x, y, x).  So x sums rows 3 and 5, y rows 4 and 2, z 0 and 1.
     t = _interior_rows(ab, np.concatenate([c, -c]))
-    return f, t[[3, 4, 0]] + t[[5, 2, 1]]
+    return f, np.concatenate([t[3:5] + t[5:1:-3], t[:1] + t[1:2]])
 
 
 def minimize_defect_n3(
@@ -83,26 +91,25 @@ def minimize_defect_n3(
 ) -> MinimizeResult:
     """Minimize the n=3 triangle defect over unit triples (x, y, z).
 
-    Projected gradient descent on all restarts at once; the projection
-    renormalizes each vector.  Each restart keeps its own step, from 0.2: a
-    trial is accepted when its defect is finite and at most f - 1e-4 * step *
-    |g|^2, which doubles the step up to 0.8; otherwise the step halves.  A
-    restart stops once an accepted step gains less than 1e-10 or its step
-    falls below 1e-14.  Restarts: the three canonical basis permutations
-    plus Gaussian random triples.  Returns the smallest defect seen anywhere
-    along the trajectories and the triple achieving it.
+    Projected gradient descent on all restarts at once, renormalizing each
+    vector.  Each restart keeps its own step, from 0.2: a trial is accepted
+    when its defect is finite and at most f - 1e-4 * step * |g|^2, which
+    doubles the step up to 0.8; otherwise the step halves.  A restart stops
+    once an accepted step gains less than 1e-10 or its step falls below 1e-14.
+    Restarts: the three canonical basis permutations plus Gaussian random
+    triples.  Returns the smallest defect seen and its triple.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (3,):
         raise ValueError("expected exactly three diagonal weights")
-    if np.any(lam <= 0):
-        raise ValueError("weights must be positive")
     if not (2 <= p < np.inf):
         raise ValueError(f"the minimizer covers finite exponents p >= 2 only, got {p!r}")
-    if restarts < 3:
-        raise ValueError("needs at least the three canonical restarts")
-
-    wts = lam[[2, 1, 0]] ** p  # E_01^p, E_02^p, E_12^p
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        wts = lam[[2, 1, 0]] ** p  # E_01^p, E_02^p, E_12^p
+    if not np.all((lam > 0) & np.isfinite(wts) & (wts > 0)):
+        raise ValueError(f"weights must be positive with finite, positive p-th powers, got {lam.tolist()}")
+    if restarts < 3 or iterations < 0:
+        raise ValueError(f"needs restarts >= 3 (the canonical ones), iterations >= 0; got {restarts}, {iterations}")
     inv_p = 1.0 / p
 
     rng = trial_rng(seed, 0)
@@ -112,33 +119,32 @@ def minimize_defect_n3(
         v[k, :3] = np.eye(3)[perm]
         v[k, 3:] = rng.standard_normal((r - 3, 3)) + 1j * rng.standard_normal((r - 3, 3))
     v = _normalize_rows(v)
-
     f, g = _defect_and_gradient(v, wts, inv_p)
+    gsq = _squared_norms(g)
     i = int(np.argmin(f))
     best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
-
     step = np.full(r, _STEP0)
     active = np.ones(r, dtype=bool)
-    iters_done = 0
-
-    for it in range(iterations):
-        iters_done = it + 1
+    it = 0
+    for it in range(1, iterations + 1):
         vn = _normalize_rows(v - step[:, None] * g)
         fn, gn = _defect_and_gradient(vn, wts, inv_p)
-        i = int(np.argmin(fn))
-        if fn[i] < best_val:
+        if fn.min() < best_val:  # argmin releases the GIL, so it runs only here
+            i = int(np.argmin(fn))
             best_val, best_triple = float(fn[i]), tuple(vn[:, i].copy())
-
-        gsq = (g.real**2 + g.imag**2).sum(axis=(0, 2))
-        accept = active & (fn < np.inf) & (fn <= f - _ARMIJO_C1 * step * gsq)
+        keep = active  # inactive rows stopped on the last iteration and leave below
+        accept = keep & (fn < np.inf) & (fn <= f - _ARMIJO_C1 * step * gsq)
         np.copyto(v, vn, where=accept[:, None])
         np.copyto(g, gn, where=accept[:, None])
-        tiny = accept & (f - fn < _CONVERGED_TOL)
+        gsq = np.where(accept, _squared_norms(gn), gsq)
+        active = keep & ~(accept & (f - fn < _CONVERGED_TOL))
         f = np.where(accept, fn, f)
-        step = np.where(accept, np.minimum(step * _STEP_GROWTH, _STEP_CAP * _STEP0), step)
-        step[~accept & active] *= 0.5
-        active &= ~tiny & (step >= _MIN_STEP)
+        step *= np.where(accept, _STEP_GROWTH, 0.5)
+        np.minimum(step, _STEP_CAP * _STEP0, out=step)
+        active &= step >= _MIN_STEP
         if not active.any():
             break
+        if not keep.all():
+            v, g, f, gsq, step, active = v[:, keep], g[:, keep], f[keep], gsq[keep], step[keep], active[keep]
 
-    return MinimizeResult(best_val, best_triple, iters_done)
+    return MinimizeResult(best_val, best_triple, it)

@@ -169,6 +169,13 @@ class TestProjector:
         with pytest.raises(ValueError, match="repeats"):
             check_projector_inequality([(1, 1)], b, basis(4, 0))
 
+    def test_rejects_boolean_indices(self):
+        # bool subclasses int, so (True, 0) was once read as the pair (1, 0)
+        b = Bivector(4, np.zeros(6))
+        for bad in ([(True, 0)], [(1, np.bool_(False))]):
+            with pytest.raises(ValueError, match="two integer indices"):
+                check_projector_inequality(bad, b, basis(4, 0))
+
     def test_rejects_malformed_pairs(self):
         # both were once read as the pair (0, 1); witness files reach this gate
         b = Bivector(4, np.zeros(6))

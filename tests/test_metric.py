@@ -9,6 +9,7 @@ from pqdist.metric import (
     DistanceMatrix,
     DistanceMatrixError,
     DpMetric,
+    _dp_inputs,
     _restricted_form_rows,
     d2,
     d_hs,
@@ -211,6 +212,14 @@ class TestDp:
         for bad in (np.ones((2, 3)), 1.0):
             with pytest.raises(ValueError, match="mismatch"):
                 dp_from_weights(bad, 2.0, basis(2, 0), basis(2, 1))
+
+    def test_complex_weights_rejected(self):
+        # the imaginary part was once dropped with only a ComplexWarning (1.0 here)
+        with pytest.raises(ValueError, match="real"):
+            dp_from_weights(np.array([[0, 1 + 5j], [1 + 5j, 0]]), 2.0, basis(2, 0), basis(2, 1))
+        # raw weights may still be non-finite, or a 1x1 matrix with no pairs
+        assert dp_from_weights([[0, np.inf], [np.inf, 0]], 2.0, basis(2, 0), basis(2, 1)) == np.inf
+        assert _dp_inputs([[0.0]], 2.0, [1.0], [1.0])[0].size == 0
 
     def test_invalid_exponent(self, rng):
         e = DistanceMatrix.from_array([[0, 1], [1, 0]])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pqdist.metric import dp_from_weights, spectral_condition_n3
-from pqdist.optimize import _defect_and_gradient, minimize_defect_n3
+from pqdist.exterior import _interior_rows
+from pqdist.metric import _minor_sums, dp_from_weights, spectral_condition_n3
+from pqdist.optimize import _defect_and_gradient, _squared_norms, minimize_defect_n3
+from pqdist.sampling import trial_rng
 
 
 def direct_defect(lam, p, triple):
@@ -14,6 +16,62 @@ def direct_defect(lam, p, triple):
         + dp_from_weights(entries, p, y, z)
         - dp_from_weights(entries, p, x, y)
     )
+
+
+def reference_objective(v, wts, inv_p):
+    """The defect and gradient of ``v`` (3, r, 3), gathering operands and rows by index."""
+    ab = v[[0, 1, 0, 2, 2, 1]]
+    s, m = _minor_sums(wts, ab[:3], ab[3:])
+    d = np.maximum(s, 0.0) ** inv_p
+    f = d[0] + d[1] - d[2]
+    f[~np.isfinite(f)] = np.inf
+    w = np.where(s > 1e-280, inv_p * np.maximum(s, 1e-300) ** (inv_p - 1.0), 0.0)
+    c = (np.array([1.0, 1.0, -1.0])[:, None] * w)[..., None] * wts * m
+    t = _interior_rows(ab, np.concatenate([c, -c]))
+    return f, t[[3, 4, 0]] + t[[5, 2, 1]]
+
+
+def reference_minimize(lam, p, restarts, iterations, seed):
+    """The minimizer with every restart kept on the stack to the end.
+
+    Stopped restarts are evaluated on every iteration and |g|^2 is recomputed
+    from g each time.  Returns the result and whether, on some iteration,
+    part of the restarts had stopped while the others went on.
+    """
+    lam = np.asarray(lam, dtype=float)
+    wts, inv_p, r = lam[[2, 1, 0]] ** p, 1.0 / p, restarts
+    rng = trial_rng(seed, 0)
+    v = np.empty((3, r, 3), dtype=complex)
+    for k, perm in enumerate(([0, 1, 2], [1, 2, 0], [2, 0, 1])):
+        v[k, :3] = np.eye(3)[perm]
+        v[k, 3:] = rng.standard_normal((r - 3, 3)) + 1j * rng.standard_normal((r - 3, 3))
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    f, g = reference_objective(v, wts, inv_p)
+    i = int(np.argmin(f))
+    best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
+    step, active = np.full(r, 0.2), np.ones(r, dtype=bool)
+    iters_done, mixed = 0, False
+    for it in range(iterations):
+        iters_done = it + 1
+        vn = v - step[:, None] * g
+        vn = vn / np.linalg.norm(vn, axis=-1, keepdims=True)
+        fn, gn = reference_objective(vn, wts, inv_p)
+        i = int(np.argmin(fn))
+        if fn[i] < best_val:
+            best_val, best_triple = float(fn[i]), tuple(vn[:, i].copy())
+        gsq = (g.real**2 + g.imag**2).sum(axis=(0, 2))
+        accept = active & (fn < np.inf) & (fn <= f - 1e-4 * step * gsq)
+        np.copyto(v, vn, where=accept[:, None])
+        np.copyto(g, gn, where=accept[:, None])
+        tiny = accept & (f - fn < 1e-10)
+        f = np.where(accept, fn, f)
+        step = np.where(accept, np.minimum(step * 2.0, 0.8), step)
+        step[~accept & active] *= 0.5
+        active &= ~tiny & (step >= 1e-14)
+        mixed |= 0 < active.sum() < r
+        if not active.any():
+            break
+    return best_val, best_triple, iters_done, mixed
 
 
 class TestMinimizer:
@@ -62,6 +120,35 @@ class TestMinimizer:
         for p in (float("nan"), float("inf")):  # nan once ran and returned min_defect = inf
             with pytest.raises(ValueError, match="finite"):
                 minimize_defect_n3((1, 1, 1), p)
+        # each of these once returned min_defect = inf after a stream of RuntimeWarnings
+        for lam in ((1, float("nan"), 1), (1, float("inf"), 1), (1, 1e200, 1)):
+            with pytest.raises(ValueError, match="finite"):
+                minimize_defect_n3(lam, 2.0)
+        with pytest.raises(ValueError, match="positive"):
+            minimize_defect_n3((1, 1e-200, 1), 2.0)  # E^p underflows to 0
+        with pytest.raises(ValueError, match="iterations"):
+            minimize_defect_n3((1, 1, 1), 2.0, iterations=-1)
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 5.0])
+    def test_matches_reference_bit_for_bit(self, p):
+        # restarts leave the stack once stopped; results must not change
+        rng = np.random.default_rng(int(4 * p))
+        sat = rng.uniform(0.2, 2.0, 3)
+        while not spectral_condition_n3(*sat):
+            sat = rng.uniform(0.2, 2.0, 3)
+        vio = rng.uniform(0.2, 2.0, 3)
+        vio[0] = (vio[1] + vio[2]) * rng.uniform(1.1, 2.0)
+        mixed = []
+        for lam, iterations in ((sat, 300), (vio, 300), (sat, 12)):
+            seed = int(rng.integers(1 << 31))
+            want_val, want_triple, want_iters, was_mixed = reference_minimize(lam, p, 16, iterations, seed)
+            res = minimize_defect_n3(lam, p, restarts=16, iterations=iterations, seed=seed)
+            assert res.min_defect == want_val
+            assert res.iterations == want_iters
+            assert all(np.array_equal(u, w) for u, w in zip(res.triple, want_triple))
+            mixed.append(was_mixed)
+        assert res.iterations == 12  # the last call stops at its cap
+        assert any(mixed)  # some restarts stopped while others went on
 
 
 class TestObjective:
@@ -80,6 +167,18 @@ class TestObjective:
             assert f[k] == direct_defect(lam, p, v[:, k])
             diff = direct_defect(lam, p, (v + t * h)[:, k]) - direct_defect(lam, p, (v - t * h)[:, k])
             assert slope[k] == pytest.approx(diff / (2 * t), rel=1e-6)
+
+    def test_squared_norms_do_not_depend_on_the_row_count(self):
+        # the stack shrinks to one row as restarts stop; |g|^2 of a row must
+        # keep the bits it has in a full stack, where numpy sums over both axes
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((3, 16, 3)) * 10.0 ** rng.integers(-8, 9, (3, 16, 3))
+        g = g + 1j * g * rng.standard_normal((3, 16, 3))
+        full = _squared_norms(g)
+        assert np.array_equal(full, (g.real**2 + g.imag**2).sum(axis=(0, 2)))
+        for k in range(16):
+            assert _squared_norms(g[:, k : k + 1])[0] == full[k]
+            assert np.array_equal(_squared_norms(g[:, k : k + 2]), full[k : k + 2])
 
     def test_nonfinite_row_does_not_hide_the_best(self):
         # a row renormalized from an exact zero is NaN; its value must read +inf,
