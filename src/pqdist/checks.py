@@ -145,6 +145,32 @@ def _triangle_rows(wts: np.ndarray, p: float, x, y, z):
     return d[0] + d[1] + d[2] - 2.0 * dmax, dmax, np.stack(d, axis=-1)
 
 
+# Relative widening of the distance intervals.  The screen's and the kernel's
+# p-th roots are each within 4 ulps (8 u), and the kernel's and the
+# interval's sum, difference and quotient round by 5 u of
+# (sum + 2 max) / max(1, max) each: 26 u of what a distance adds to the
+# slack.  The absolute part covers subnormal results.
+_ROUND_WIDEN = 32 * 2.0**-53
+_TINY = np.ldexp(1.0, -1068)
+
+
+def _triangle_bounds(lo: np.ndarray, hi: np.ndarray, p: float):
+    """Interval around the normalized defect slack / max(1, max) that ``_triangle_rows`` gives.
+
+    ``lo`` and ``hi`` (..., 3) bound the kernel's three minor sums; the p-th
+    root is monotone, and interval arithmetic carries the distances through
+    sum - 2 max and the division.  A non-finite bound leaves a non-finite end.
+    """
+    r = 1.0 / p
+    d_lo = np.maximum(np.maximum(lo, 0.0) ** r * (1.0 - _ROUND_WIDEN) - _TINY, 0.0)
+    d_hi = np.maximum(hi, 0.0) ** r * (1.0 + _ROUND_WIDEN) + _TINY
+    top_lo, top_hi = d_lo.max(axis=-1), d_hi.max(axis=-1)
+    slack_lo = d_lo.sum(axis=-1) - 2.0 * top_hi
+    slack_hi = d_hi.sum(axis=-1) - 2.0 * top_lo
+    m_lo, m_hi = np.maximum(1.0, top_lo), np.maximum(1.0, top_hi)
+    return np.minimum(slack_lo / m_lo, slack_lo / m_hi), np.maximum(slack_hi / m_lo, slack_hi / m_hi)
+
+
 def _minorial_rows(a: np.ndarray, x, y, z):
     """Minorial kernel: (middle - lower bound, upper bound - middle)."""
     mid, _ = _minor_sums(a, x, y)

@@ -268,8 +268,10 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     along a contiguous axis pairwise.  So the sum runs over a width-major
     copy (no copy for the Fortran-ordered stacks that fancy-index gathers
     leave), and a sum of a single row is taken over the row doubled, so
-    that it, too, runs along a slow axis.
+    that it, too, runs along a slow axis.  A sum over no terms is zero.
     """
+    if t.shape[-1] == 0:
+        return np.zeros(t.shape[:-1], dtype=t.dtype)
     tt = t.T
     if tt[0].size == 1:
         return np.stack([tt, tt], axis=-1).sum(axis=0)[..., 0].T

@@ -18,6 +18,18 @@ elements whatever n is.  The slice size depends on n alone, and a kernel
 row's bits do not depend on how many rows share the call, so slicing leaves
 every report unchanged.
 
+A triangle chunk from ``_SCREEN_MIN_PAIRS`` = 36 pairs (n >= 9) on first
+screens its rows.  Every row gets a certified interval around the defect the
+exact kernel would give it, from two quadratic forms per distance that take
+one BLAS product for a fixed matrix (``metric._minor_sum_bounds``) and
+interval arithmetic through the p-th root, sum - 2 max and the normalization
+(``checks._triangle_bounds``).  Only rows that could hold the chunk's worst
+defect or whose verdict the interval leaves open (and rows with a non-finite
+end) go to the exact kernel, which stays the only evaluator of every number
+in a report; the rows whose interval lies below -tolerance count as
+violations without it.  So reports keep their bytes, and a random chunk
+leaves about one row to the kernel instead of 512.
+
 Defect conventions per property (nonnegative means the property held):
 
 * triangle   (sum of the three distances - twice the largest) / max(1, largest)
@@ -51,6 +63,7 @@ from .checks import (
     _reduction_report,
     _reduction_rows,
     _subspace_draws,
+    _triangle_bounds,
     _triangle_rows,
     _w1_rows,
     _weighted_rows,
@@ -60,7 +73,7 @@ from .checks import (
 )
 from .exterior import Bivector, pair_indices
 from .fileio import _c2l, _complex_rows, _m2l, _number_rows, _object, get_field
-from .metric import DistanceMatrix, _check_exponent, _in_slices, pair_weights
+from .metric import DistanceMatrix, _check_exponent, _in_slices, _minor_sum_bounds, pair_weights
 from .sampling import (
     MATRIX_MODES,
     _orthonormalize_triples,
@@ -239,45 +252,101 @@ def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
     return mats, x, y, z
 
 
+# Pair count C(n,2) from which a triangle chunk screens its rows before the
+# exact kernel (``_triangle_candidates``).  Whole 512-row chunks, screened
+# time over the time with the exact kernel on every row, over the drawn and
+# a fixed matrix, one thread of a 2-core AVX-512 host: 1.0-1.7 at n = 6 (15 pairs), 0.7-1.5 at n = 7,
+# 0.6-1.1 at n = 8, 0.5-0.7 at n = 9 (36 pairs), 0.3-0.5 at n = 16 and
+# 0.1-0.9 at n = 64, where a drawn matrix's closure dominates the chunk.
+_SCREEN_MIN_PAIRS = 36
+
+
+def _triangle_candidates(cfg: TrialConfig, entries, mats, variants, ok):
+    """(rows, violations): the rows the exact kernel must evaluate, and the violations decided without it.
+
+    Every row gets a certified interval around the defect the exact kernel
+    would give it (``metric._minor_sum_bounds``, ``checks._triangle_bounds``),
+    the smaller of its raw and orthonormal variants.  A row can hold the
+    chunk's worst defect only if its lower end is at most the smallest upper
+    end, and its verdict is open only if its interval straddles -tolerance;
+    those rows and every row with a non-finite end are candidates.  Of the
+    others, the rows whose upper end is below -tolerance are violations.
+    """
+    n, p, tol = cfg.n, cfg.p, cfg.tolerance
+    count, width = len(mats), 9 * len(variants) * n  # (a, Re c, Im c) rows per pair
+
+    def bounds(w, *rows):  # the pairs (x, y), (x, z), (y, z) of every variant
+        triples = [rows[i : i + 3] for i in range(0, len(rows), 3)]
+        left = np.stack([s for a, b, _ in triples for s in (a, a, b)], axis=1)
+        right = np.stack([s for _, b, c in triples for s in (b, c, c)], axis=1)
+        return _minor_sum_bounds(w, left, right)
+
+    states = [s for triple in variants for s in triple]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end makes a candidate
+        if entries is None:
+            lo, hi = _in_slices(lambda m, *rows: bounds(m**p, *rows), n * n + width, mats, *states)
+        else:
+            lo, hi = _in_slices(partial(bounds, entries**p), width, *states)
+        lo, hi = _triangle_bounds(lo.reshape(count, -1, 3), hi.reshape(count, -1, 3), p)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if ok is not None:  # a degenerate orthonormal variant has defect +inf
+        lo[:, 1] = np.where(ok, lo[:, 1], np.inf)
+        hi[:, 1] = np.where(ok, hi[:, 1], np.inf)
+        finite[:, 1] |= ~ok
+    finite = finite.all(axis=1)
+    lo, hi = lo.min(axis=1), hi.min(axis=1)
+    top = np.min(np.where(finite, hi, np.inf))
+    open_ = ~finite | (lo <= top) | ((lo < -tol) & (hi >= -tol))
+    return np.flatnonzero(open_), int(np.count_nonzero(~open_ & (hi < -tol)))
+
+
 def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     n, p = cfg.n, cfg.p
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
-    wts = pair_weights(mats, p)
+    variants, ok = [(x, y, z)], None
+    if n >= 3:
+        u, v, w, ok = _orthonormalize_triples(x, y, z)
+        variants.append((u, v, w))
+    rows, screened = slice(None), 0
+    if _pairs(n) >= _SCREEN_MIN_PAIRS:
+        rows, screened = _triangle_candidates(cfg, entries, mats, variants, ok)
+    wts = pair_weights(mats[rows], p)
 
     def kernel(wt, a, b, c):
         return _triangle_rows(wt, p, a, b, c)
 
     def norm_defect(a, b, c):
-        slack, dmax, d = _in_slices(kernel, _pairs(n), wts, a, b, c)
+        slack, dmax, d = _in_slices(kernel, _pairs(n), wts, a[rows], b[rows], c[rows])
         return slack / np.maximum(1.0, dmax), d
 
     defect, raw_d = norm_defect(x, y, z)
-    variant_ortho = np.zeros(count, dtype=bool)
-    if n >= 3:
-        u, v, w, ok = _orthonormalize_triples(x, y, z)
+    variant_ortho = np.zeros(len(defect), dtype=bool)
+    if ok is not None:
         defect_o, ortho_d = norm_defect(u, v, w)
-        defect_o = np.where(ok, defect_o, np.inf)
+        defect_o = np.where(ok[rows], defect_o, np.inf)
         variant_ortho = defect_o < defect
         defect = np.minimum(defect, defect_o)
 
-    violations, local, worst, trial = _worst(cfg, chunk, defect)
-    if variant_ortho[local]:
-        rows, dists, variant = (u, v, w), ortho_d, "orthonormal"
+    violations, sub, worst, _ = _worst(cfg, chunk, defect)
+    local = int(np.arange(count)[rows][sub])
+    trial = chunk * CHUNK_TRIALS + local
+    if variant_ortho[sub]:
+        states, dists, variant = (u, v, w), ortho_d, "orthonormal"
     else:
-        rows, dists, variant = (x, y, z), raw_d, "raw"
+        states, dists, variant = (x, y, z), raw_d, "raw"
     witness = {
         "trial": trial,
         "variant": variant,
         "n": n,
         "p": float(p),
         "matrix": _m2l(mats[local]),
-        "x": _c2l(rows[0][local]),
-        "y": _c2l(rows[1][local]),
-        "z": _c2l(rows[2][local]),
-        "distances": [float(d) for d in dists[local]],
+        "x": _c2l(states[0][local]),
+        "y": _c2l(states[1][local]),
+        "z": _c2l(states[2][local]),
+        "distances": [float(d) for d in dists[sub]],
         "defect": worst,
     }
-    return _ChunkOutcome(violations, worst, trial, witness)
+    return _ChunkOutcome(screened + violations, worst, trial, witness)
 
 
 def _ortho_weight_batch(cfg: TrialConfig, chunk: int, count: int):

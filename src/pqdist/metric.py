@@ -211,11 +211,27 @@ def _triangle_hits(a: np.ndarray):
 
 
 def shortest_path_closure(w) -> np.ndarray:
-    """All-pairs shortest-path (Floyd-Warshall) repair of a weight matrix or a (..., n, n) stack."""
+    """All-pairs shortest-path (Floyd-Warshall) repair of a weight matrix or a (..., n, n) stack.
+
+    The stack runs in blocks of ``_slice_rows(n * n)`` matrices, each moved to
+    an (n, n, block) layout so that every k-step adds and compares whole
+    contiguous rows of the block; min and + see the same operands in the same
+    order as a step over one matrix, so the bits do not depend on the layout.
+    """
     d = np.array(w, dtype=float)
     n = d.shape[-1]
-    for k in range(n):
-        np.minimum(d, d[..., :, k, None] + d[..., None, k, :], out=d)
+    if d.size == 0:
+        return d
+    flat = d.reshape(-1, n, n)
+    step = min(_slice_rows(n * n), len(flat))
+    tmp = np.empty((n, n, step))
+    for s in range(0, len(flat), step):
+        block = np.ascontiguousarray(flat[s : s + step].transpose(1, 2, 0))
+        t = tmp[..., : block.shape[-1]]
+        for k in range(n):
+            np.add(block[:, k, None, :], block[None, k, :, :], out=t)
+            np.minimum(block, t, out=block)
+        flat[s : s + step] = block.transpose(2, 0, 1)
     return d
 
 
@@ -279,6 +295,55 @@ def _minor_sums(wts: np.ndarray, x: np.ndarray, y: np.ndarray):
     return _row_sums(wts * (minors.real**2 + minors.imag**2)), minors
 
 
+def _minor_sum_radius(n: int) -> float:
+    """Half-width, per unit of a^T W b, of the interval ``_minor_sum_bounds`` puts around a minor sum.
+
+    First-order rounding bounds in units of u = 2^-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Lemma 3.1, (3.11) and §3.6):
+    with s_ij = |x_i||y_j| + |x_j||y_i|, s_ij^2 <= 2 (a_i b_j + a_j b_i), so
+    the terms W_ij s_ij^2 add up to at most 2 a^T W b.  ``_minor_sums`` errs
+    by at most 11 u W_ij s_ij^2 per pair (two complex products, a
+    difference, two squares, a sum and a weight product) and by
+    gamma_{C(n,2)-1} times its terms in the sum: (2 C(n,2) + 22) u a^T W b.
+    The screen errs by gamma_2 in a and b, sqrt(2) gamma_2 in c, gamma_n in
+    each of its two length-n products and 2 u in its two differences, where
+    |c|^T W |c| <= a^T W b: (4n + 16) u a^T W b.  Its E^p and the kernel's
+    are two powers, each within 4 ulps: 32 u a^T W b.  Doubling the sum
+    covers the second-order terms and a computed a^T W b below the exact one.
+    """
+    return 2.0 * (n * (n - 1) + 4 * n + 70) * 2.0**-53
+
+
+def _minor_sum_bounds(w: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Intervals (lo, hi) around the minor sums ``_minor_sums`` computes from the pair weights of ``w``.
+
+    ``w`` holds symmetric zero-diagonal weights E^p, (n, n) for every row or
+    (count, n, n) per row; x and y are (count, k, n), k pairs of states per
+    row.  With a = |x|^2, b = |y|^2 and c = x conj(y) elementwise,
+
+        sum_{i<j} W_ij |x_i y_j - x_j y_i|^2 = a^T W b - Re(c^H W c),
+
+    so each sum takes two length-n quadratic forms, one BLAS product of the
+    (a, Re c, Im c) rows by W, instead of C(n,2) gathered complex minors.
+    The interval is that value widened by ``_minor_sum_radius(n)`` a^T W b
+    and by an underflow term.  Products that underflow and subnormal weights
+    cost the two computations at most 60 n^2 (1 + max W) 2^-1075, against
+    which relative bounds say nothing; the term is twice that.  A non-finite
+    weight makes both ends non-finite.
+    """
+    k, n = x.shape[1:]
+    a = x.real**2 + x.imag**2
+    c = x * np.conj(y)
+    v = np.concatenate([a, c.real, c.imag], axis=1)
+    g = (v.reshape(-1, n) @ w if w.ndim == 2 else v @ w).reshape(v.shape)
+    awb = np.einsum("rkn,rkn->rk", g[:, :k], y.real**2 + y.imag**2)
+    cwc = np.einsum("rkn,rkn->rk", g[:, k:], v[:, k:])
+    mid = awb - cwc[:, :k] - cwc[:, k:]
+    under = np.ldexp(float(n * n), -1068) * (1.0 + np.max(w, axis=(-2, -1)))
+    radius = _minor_sum_radius(n) * awb + np.reshape(under, (-1, 1))
+    return mid - radius, mid + radius
+
+
 def _dp_rows(wts: np.ndarray, p: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """d_p between the rows of x and y from pair weights E_ij^p: the one evaluator of d_p."""
     return np.maximum(_minor_sums(wts, x, y)[0], 0.0) ** (1.0 / p)
@@ -333,9 +398,16 @@ def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
     of B are the sqrt-eigenvalues of H, and its right singular vectors are
     their eigenvectors.  Taking them from B, without forming H, keeps small
     sqrt-eigenvalues accurate when the weights span many orders of magnitude.
+    The rows of B are taken in descending weight order (a stable sort per
+    row): a row permutation keeps the singular values and right singular
+    vectors, and Householder reductions of a row-graded matrix are accurate
+    when its largest rows come first (Cox & Higham, BIT 38, 1998).
     """
     w = _wedge_basis(v)
-    b = np.sqrt(wts)[..., :, None] * w.swapaxes(-1, -2)
+    order = np.argsort(-wts, axis=-1, kind="stable")
+    b = np.take_along_axis(np.sqrt(wts), order, axis=-1)[..., :, None] * np.take_along_axis(
+        w, order[..., None, :], axis=-1
+    ).swapaxes(-1, -2)
     _, svals, vh = np.linalg.svd(b, full_matrices=False)
     u = np.conj(vh[..., ::-1, :])
     # A contiguous copy: numpy raises a lone reversed row to a power with

@@ -363,13 +363,19 @@ class TestOrthonormalReduction:
         rep = _reduction_report(rows, 1, 1e-9)
         assert rep.spectral_ok and not rep.subspace_fuzz_ok and not rep.verdict
 
-    @pytest.mark.parametrize("seed", [28, 1, 2])
-    def test_small_entry_spectral_margin_matches_exact_n3(self, seed):
+    @pytest.mark.parametrize(
+        "seed,p",
+        [pytest.param(s, 7.5, id=str(s)) for s in (28, 1, 2)]
+        + [pytest.param(s, p, id=f"p{p:g}-{s}") for p in (10.0, 20.0, 40.0) for s in (28, 1, 2)],
+    )
+    def test_small_entry_spectral_margin_matches_exact_n3(self, seed, p):
         # at n=3 the wedge square of any orthonormal basis is all of the
         # bivectors, so the mus are exactly sqrt(E_ij^p) and the margin is
         # (sum E - 2 max E) / max(1, sum E); seed 28's witness has a
-        # degenerate triangle with a 0.0016 entry, E^p ~ 1e-21 at p=7.5
-        cfg = TrialConfig(n=3, p=7.5, trials=600, seed=seed, matrix_mode="repaired-random")
+        # degenerate triangle with a 0.0016 entry, E^p ~ 1e-21 at p=7.5;
+        # at p = 10, 20 and 40 unsorted rows of B gave 2, 15 and 42 false
+        # violations at seed 28
+        cfg = TrialConfig(n=3, p=p, trials=600, seed=seed, matrix_mode="repaired-random")
         rep = run_fuzz("reduction", cfg)
         assert rep.violations == 0
         w = rep.witness
@@ -377,7 +383,7 @@ class TestOrthonormalReduction:
         pairs = e[[0, 0, 1], [1, 2, 2]]
         exact = (pairs.sum() - 2 * pairs.max()) / max(1.0, pairs.sum())
         got = check_orthonormal_reduction(
-            e, 7.5, *(_l2c(w[k]) for k in "xyz"), inner_seed=w["inner_seed"], inner_stream=w["inner_stream"]
+            e, p, *(_l2c(w[k]) for k in "xyz"), inner_seed=w["inner_seed"], inner_stream=w["inner_stream"]
         )
         assert got.spectral_margin == pytest.approx(exact, abs=cfg.tolerance)
         assert got.verdict

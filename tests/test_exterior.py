@@ -17,6 +17,7 @@ from pqdist.exterior import (
     wedge3,
     wedge_bv,
 )
+from pqdist.metric import dp_from_weights
 from pqdist.sampling import _orthonormalize_triples
 
 
@@ -300,3 +301,63 @@ class TestHodgeBasis:
         pairs = [(1, 2), (2, 0), (0, 1)]
         for l, (a, b) in enumerate(pairs):
             assert np.abs(wedge2(f[a], f[b]).coeffs - bs[l]).max() <= 1e-10
+
+
+def dp_case(seed, n):
+    """A Euclidean distance matrix on n random points and two random unit states."""
+    gen = np.random.default_rng(seed)
+    pts = gen.random((n, 3))
+    e = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    return e, unit_vector(gen, n), unit_vector(gen, n), gen
+
+
+def assert_dp_close(d1, d2, e, p, x, y):
+    """d1^p and d2^p agree within the rounding of two evaluations of the minor sum.
+
+    Each sum errs by at most (2 C(n,2) + 22) u a^T W b, with a = |x|^2,
+    b = |y|^2, W = E^p, u = 2^-53 (``metric._minor_sum_radius``); each E^p
+    by 4 ulps, and the p-th root and the power taken back by p + 2 ulps.
+    The bound takes twice each of those, plus the rounding of the states.
+    """
+    n, u = len(x), 2.0**-53
+    a, b, w = np.abs(x) ** 2, np.abs(y) ** 2, e**p
+    scale = a @ w @ b
+    bound = 2 * (n * n + 60) * u * scale + 4 * (p + 2) * u * (d1**p + d2**p)
+    assert abs(d1**p - d2**p) <= bound
+
+
+dp_strategies = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), p=st.floats(0.5, 12.0))
+
+
+class TestDpProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**dp_strategies)
+    def test_symmetric_bit_for_bit(self, seed, n, p):
+        # the minors of (y, x) negate those of (x, y) bitwise
+        e, x, y, _ = dp_case(seed, n)
+        assert dp_from_weights(e, p, x, y) == dp_from_weights(e, p, y, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**dp_strategies, theta=st.floats(0.0, 2 * np.pi))
+    def test_global_phase_invariance(self, seed, n, p, theta):
+        e, x, y, _ = dp_case(seed, n)
+        d = dp_from_weights(e, p, x, y)
+        phase = np.exp(1j * theta)
+        assert_dp_close(dp_from_weights(e, p, phase * x, y), d, e, p, x, y)
+        assert_dp_close(dp_from_weights(e, p, x, phase * y), d, e, p, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**dp_strategies)
+    def test_joint_permutation_covariance(self, seed, n, p):
+        e, x, y, gen = dp_case(seed, n)
+        perm = gen.permutation(n)
+        got = dp_from_weights(e[np.ix_(perm, perm)], p, x[perm], y[perm])
+        assert_dp_close(got, dp_from_weights(e, p, x, y), e, p, x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**dp_strategies, k=st.integers(-8, 8))
+    def test_homogeneous_in_the_matrix(self, seed, n, p, k):
+        # d_p(2^k E) = 2^k d_p(E); dividing by 2^k is exact
+        e, x, y, _ = dp_case(seed, n)
+        got = dp_from_weights(2.0**k * e, p, x, y) / 2.0**k
+        assert_dp_close(got, dp_from_weights(e, p, x, y), e, p, x, y)

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pqdist import metric
+from pqdist import fuzz, metric
+from pqdist.checks import _triangle_bounds, _triangle_rows
+from pqdist.fileio import _c2l, _m2l
 from pqdist.fuzz import (
     _KERNELS,
     CHUNK_TRIALS,
@@ -14,7 +16,8 @@ from pqdist.fuzz import (
     run_fuzz,
     thread_count,
 )
-from pqdist.metric import DistanceMatrix
+from pqdist.metric import DistanceMatrix, _minor_sum_bounds, _minor_sums, pair_weights, shortest_path_closure
+from pqdist.sampling import _orthonormalize_triples, _symmetric_from_pairs
 
 
 def scrubbed(report):
@@ -219,6 +222,159 @@ class TestKernelSlices:
         finally:
             tracemalloc.stop()
         assert peak < mib * 2**20
+
+
+def _unit(v):
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _adversarial_rows(n, count, seed, huge=False, planar=8):
+    """Distance matrices and state rows built to stress the triangle screen.
+
+    Euclidean and graded matrices (a closure of log-uniform weights from 1e-3
+    to 1) alternate.  Among the states: repeated states (minors exactly zero,
+    a degenerate orthonormal variant), states parallel up to a phase and at
+    1e-9 and 1e-160, states with zero components, and on every
+    ``planar``-th row a triple on two coordinates, where d_p breaks the
+    triangle inequality for p < 2.  With ``huge``, every 16th matrix is
+    scaled to about 1e300, so E^p overflows.
+    """
+    rng = np.random.default_rng(seed)
+    pts = rng.random((count, n, 3))
+    mats = np.sqrt(((pts[:, :, None] - pts[:, None]) ** 2).sum(-1))
+    graded = 10.0 ** rng.uniform(-3.0, 0.0, (count, n * (n - 1) // 2))
+    mats[1::2] = shortest_path_closure(_symmetric_from_pairs(graded, n))[1::2]
+    if huge:
+        mats[5::16] *= 1e300
+    x, y, z = (_unit(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))) for _ in range(3))
+    y[0::8] = x[0::8]
+    z[1::8] = np.exp(0.7j) * x[1::8]
+    y[2::8] = _unit(x[2::8] + 1e-9 * rng.standard_normal((len(x[2::8]), n)))
+    x[3::8, : n // 2] = 0.0
+    x[3::8] = _unit(x[3::8])
+    x[4::planar, 2:] = 0.0
+    for v in (y, z):  # near x, where the distances add up least
+        v[4::planar] = x[4::planar] + 0.3 * v[4::planar]
+        v[4::planar, 2:] = 0.0
+    for v in (x, y, z):
+        v[4::planar] = _unit(v[4::planar])
+    for v in (x, y):  # both at e_1 up to 1e-160: a^T W b and the minors underflow
+        v[7::8] = np.eye(n)[0] + 1e-160 * rng.standard_normal((len(v[7::8]), n))
+    return mats, x, y, z
+
+
+def _exact_outcome(cfg, mats, x, y, z):
+    """(violations, worst, trial, witness) of chunk 0 with the exact kernel on every row.
+
+    The reference for the screened ``fuzz._chunk_triangle``: the whole-chunk
+    evaluation that campaigns ran before rows were screened.
+    """
+    p = cfg.p
+    wts = pair_weights(mats, p)
+
+    def defect(a, b, c):
+        slack, dmax, d = _triangle_rows(wts, p, a, b, c)
+        return slack / np.maximum(1.0, dmax), d
+
+    raw, raw_d = defect(x, y, z)
+    u, v, w, ok = _orthonormalize_triples(x, y, z)
+    ortho, ortho_d = defect(u, v, w)
+    ortho = np.where(ok, ortho, np.inf)
+    total = np.minimum(raw, ortho)
+    local = int(np.argmin(total))
+    if ortho[local] < raw[local]:
+        states, dists, variant = (u, v, w), ortho_d, "orthonormal"
+    else:
+        states, dists, variant = (x, y, z), raw_d, "raw"
+    witness = {
+        "trial": local,
+        "variant": variant,
+        "n": cfg.n,
+        "p": float(p),
+        "matrix": _m2l(mats[local]),
+        "x": _c2l(states[0][local]),
+        "y": _c2l(states[1][local]),
+        "z": _c2l(states[2][local]),
+        "distances": [float(d) for d in dists[local]],
+        "defect": float(total[local]),
+    }
+    violations = int(np.count_nonzero(~(total >= -cfg.tolerance)))
+    return violations, float(total[local]), local, witness
+
+
+_SCREEN_CASES = [
+    (12, 1.5, False, False),
+    (12, 2.0, False, True),
+    (16, 10.0, True, False),
+    (16, 20.0, False, False),
+    (12, 2.0, True, True),
+    (9, 20.0, True, True),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing rows
+class TestTriangleScreen:
+    @pytest.mark.parametrize("n,p,huge,fixed", _SCREEN_CASES)
+    def test_screened_chunk_equals_exact_kernel_on_every_row(self, monkeypatch, n, p, huge, fixed):
+        assert n * (n - 1) // 2 >= fuzz._SCREEN_MIN_PAIRS
+        count = 320
+        mats, x, y, z = _adversarial_rows(n, count, seed=n + int(p), huge=huge, planar=2 if p < 2 else 8)
+        entries = None
+        if fixed:  # a user-supplied matrix: one weight matrix for every row
+            entries = mats[5] if huge else mats[1]
+            mats = np.broadcast_to(entries, mats.shape)
+        cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
+        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
+        got = fuzz._chunk_triangle(cfg, entries, 0, count)
+        violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
+        assert (got.violations, got.trial) == (violations, trial)
+        assert json.dumps([got.worst, got.witness]) == json.dumps([worst, witness])
+        u, v, w, ok = _orthonormalize_triples(x, y, z)
+        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, [(x, y, z), (u, v, w)], ok)
+        assert set(rows) >= {trial}
+        if p < 2:  # two-coordinate triples break the inequality, most decided by the screen alone
+            assert violations >= 40 and screened > violations // 2
+        if huge:
+            assert np.isnan(worst) and violations > 0
+
+    @pytest.mark.parametrize(
+        "cfg,fixed",
+        [
+            (TrialConfig(n=32, p=2.5, trials=512, seed=1, matrix_mode="repaired-random"), False),
+            (TrialConfig(n=16, p=10.0, trials=512, seed=2, matrix_mode="euclidean-points"), False),
+            (TrialConfig(n=64, p=2.5, trials=512, seed=3, matrix_mode="user-supplied"), True),
+        ],
+    )
+    def test_random_chunk_leaves_one_candidate(self, cfg, fixed):
+        entries = np.asarray(_adversarial_rows(cfg.n, 2, seed=4)[0][1]) if fixed else None
+        mats, x, y, z = fuzz._matrix_triple_batch(cfg, entries, 0, cfg.trials)
+        u, v, w, ok = _orthonormalize_triples(x, y, z)
+        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, [(x, y, z), (u, v, w)], ok)
+        assert len(rows) == 1 and screened == 0
+
+    @pytest.mark.parametrize("n,p,huge,fixed", _SCREEN_CASES)
+    def test_intervals_contain_the_exact_kernel(self, n, p, huge, fixed):
+        mats, x, y, z = _adversarial_rows(n, 320, seed=n + int(p), huge=huge, planar=2 if p < 2 else 8)
+        if fixed:
+            mats = np.broadcast_to(mats[5] if huge else mats[1], mats.shape)
+        u, v, w, ok = _orthonormalize_triples(x, y, z)
+        wts = pair_weights(mats, p)
+        with np.errstate(all="ignore"):
+            weights = mats[0] ** p if fixed else mats**p
+        for a, b, c in ((x, y, z), (u, v, w)):
+            left, right = np.stack([a, a, b], axis=1), np.stack([b, c, c], axis=1)
+            lo, hi = _minor_sum_bounds(weights, left, right)
+            sums = np.stack([_minor_sums(wts, left[:, k], right[:, k])[0] for k in range(3)], axis=1)
+            self._assert_within(lo, sums, hi)
+            slack, dmax, _ = _triangle_rows(wts, p, a, b, c)
+            d_lo, d_hi = _triangle_bounds(lo, hi, p)
+            self._assert_within(d_lo, slack / np.maximum(1.0, dmax), d_hi)
+
+    @staticmethod
+    def _assert_within(lo, value, hi):
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        assert np.all((lo <= value) & (value <= hi) | ~finite)
+        assert not np.any(finite & ~np.isfinite(value))  # a non-finite value has a non-finite end
 
 
 class TestValidationErrors:

@@ -221,6 +221,12 @@ class TestDp:
         assert dp_from_weights([[0, np.inf], [np.inf, 0]], 2.0, basis(2, 0), basis(2, 1)) == np.inf
         assert _dp_inputs([[0.0]], 2.0, [1.0], [1.0])[0].size == 0
 
+    def test_one_point_space(self):
+        # P(C^1) is a single point: no pairs, so d_p is the empty sum's root, 0
+        # (the empty row sum once raised IndexError)
+        assert dp_from_weights([[0.0]], 2.0, [1.0], [1j]) == 0.0
+        assert dp_from_weights([[0.0]], 0.5, [-1.0], [1.0]) == 0.0
+
     def test_invalid_exponent(self, rng):
         e = DistanceMatrix.from_array([[0, 1], [1, 0]])
         for p in (0.0, float("inf"), float("nan")):
@@ -345,7 +351,34 @@ class TestRestrictedForm:
             assert got == pytest.approx(list(mus), rel=1e-9)
 
 
+def closure_loop(w):
+    """Floyd-Warshall over one matrix in scalar loops: the reference for ``shortest_path_closure``."""
+    d = [[float(v) for v in row] for row in w]
+    n = len(d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return np.array(d)
+
+
 class TestClosure:
+    def test_matches_scalar_loop_bit_for_bit(self, rng):
+        # blocks of _slice_rows(n * n) matrices: 36 at n = 30, so 40 matrices
+        # run as a full block and a partial one
+        n, count = 30, 40
+        w = rng.random((count, n, n))
+        w = (w + w.transpose(0, 2, 1)) / 2
+        w[:, np.arange(n), np.arange(n)] = 0.0
+        d = shortest_path_closure(w)
+        for k in (0, 35, 36, count - 1):
+            want = closure_loop(w[k])
+            assert np.array_equal(d[k], want)
+            assert np.array_equal(shortest_path_closure(w[k]), want)
+        # any leading shape: a (2, 20) stack of the same matrices
+        assert np.array_equal(shortest_path_closure(w.reshape(2, 20, n, n)), d.reshape(2, 20, n, n))
+
     def test_idempotent(self, rng):
         n = 6
         w = rng.random((n, n))
