@@ -96,10 +96,9 @@ def _l2c(pairs) -> np.ndarray:  # complex values from [re, im] pairs on the last
 
 
 def _write_json(path, doc: dict) -> None:
-    """Write ``doc`` as strict JSON, indented by 2, with a trailing newline."""
+    """Write ``doc`` as strict JSON, indented by 2, with a trailing newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def matrix_to_dict(entries) -> dict:

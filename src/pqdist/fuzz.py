@@ -256,8 +256,8 @@ def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
 # exact kernel (``_triangle_candidates``).  Whole 512-row chunks, screened
 # time over the time with the exact kernel on every row, over the drawn and
 # a fixed matrix, one thread of a 2-core AVX-512 host: 1.0-1.7 at n = 6 (15 pairs), 0.7-1.5 at n = 7,
-# 0.6-1.1 at n = 8, 0.5-0.7 at n = 9 (36 pairs), 0.3-0.5 at n = 16 and
-# 0.1-0.9 at n = 64, where a drawn matrix's closure dominates the chunk.
+# 0.6-1.1 at n = 8, 0.5-0.7 at n = 9 (36 pairs), 0.3-0.5 at n = 16, and at n = 64
+# 0.12 with a fixed matrix and 0.49-0.56 with drawn ones, whose draw is 15-41% of an exact chunk.
 _SCREEN_MIN_PAIRS = 36
 
 

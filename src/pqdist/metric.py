@@ -22,10 +22,11 @@ one row; the ``checks`` kernels run them on whole chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .exterior import _row_sums, _vectors, _wedge_basis, minors2, pair_indices
+from .exterior import _row_sums, _vectors, _wedge_basis, minors2, pair_indices, pair_positions
 
 __all__ = [
     "DistanceMatrix",
@@ -213,26 +214,58 @@ def _triangle_hits(a: np.ndarray):
 def shortest_path_closure(w) -> np.ndarray:
     """All-pairs shortest-path (Floyd-Warshall) repair of a weight matrix or a (..., n, n) stack.
 
-    The stack runs in blocks of ``_slice_rows(n * n)`` matrices, each moved to
-    an (n, n, block) layout so that every k-step adds and compares whole
-    contiguous rows of the block; min and + see the same operands in the same
-    order as a step over one matrix, so the bits do not depend on the layout.
+    Weights must be symmetric with a zero diagonal and entries >= 0 or +inf
+    (an unreachable pair), else ValueError; ``_pair_closure`` closes them.
     """
-    d = np.array(w, dtype=float)
-    n = d.shape[-1]
-    if d.size == 0:
-        return d
-    flat = d.reshape(-1, n, n)
-    step = min(_slice_rows(n * n), len(flat))
-    tmp = np.empty((n, n, step))
+    d = _real_entries(w)
+    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {d.shape}")
+    if not d.min(initial=0.0) >= 0.0:  # a NaN minimum fails too
+        raise ValueError("weights must be nonnegative or +inf, not negative or NaN")
+    if np.not_equal(d, d.swapaxes(-1, -2)).any():
+        raise ValueError("weights must be symmetric")
+    if d.diagonal(0, -2, -1).any():
+        raise ValueError("weights must have a zero diagonal")
+    n = d.shape[-1]  # below three points the weights are already closed
+    return d if n < 3 else _pair_closure(d[(..., *pair_indices(n))], n)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_slots(n: int):
+    """(rows, pairs) of ``_pair_closure``: rows[k, t] is the slot of entry (k, t mod n), pairs[s] slot s's pair."""
+    m, i = n // 2, np.arange(n)
+    d = (i - i[:, None]) % n  # entry (i, j) lies on wrapped diagonal (j - i) mod n
+    full = np.where(d == 0, m * n, np.where(d <= m, (d - 1) * n + i[:, None], (n - d - 1) * n + i))
+    return np.tile(full, 2), pair_positions(n)[i, (i + np.arange(1, m + 1)[:, None]) % n].ravel()
+
+
+def _pair_closure(w: np.ndarray, n: int) -> np.ndarray:
+    """Floyd-Warshall closure (..., n, n) of symmetric zero-diagonal matrices from their pair values (..., C(n,2)).
+
+    Blocks of matrices are stored by wrapped diagonals, the block innermost:
+    slot (d-1) n + i, d = 1..n//2, holds entry (i, (i+d) mod n), so a pair
+    has one slot (two equal ones on d = n/2); slot (n//2) n holds a zero.
+    Step k gathers row k twice into r, so r[i] + r[i+d] is entry (i, k) +
+    entry (k, i+d): one gather, one add of r to a strided view of itself and
+    one minimum over n^2/2 entries, with a scalar loop's operands (+ commutes,
+    d_kk = 0 adds exactly), so the bits match any layout or block.  A block's
+    slots and temporary hold 4 _BUDGET elements (512 draws at n = 32: 15 ms, 17-20 ms with 2).
+    """
+    (rows, pairs), m, step = _diagonal_slots(n), n // 2, _slice_rows(n * n // 4)
+    flat = w.reshape(-1, w.shape[-1])
+    out = np.empty((len(flat), n, n))
     for s in range(0, len(flat), step):
-        block = np.ascontiguousarray(flat[s : s + step].transpose(1, 2, 0))
-        t = tmp[..., : block.shape[-1]]
+        block = flat[s : s + step]
+        c, r, t = np.empty((m * n + 1, len(block))), np.empty((2 * n, len(block))), np.empty((m, n, len(block)))
+        block.T.take(pairs, axis=0, out=c[:-1], mode="clip")  # "clip": valid indices, and out is not buffered
+        c[-1], cv, u = 0.0, c[:-1].reshape(t.shape), r[None, :n]
+        v = np.ndarray(t.shape, float, r, r.strides[0], (r.strides[0], *r.strides))  # v[d-1, i] = r[i+d]
         for k in range(n):
-            np.add(block[:, k, None, :], block[None, k, :, :], out=t)
-            np.minimum(block, t, out=block)
-        flat[s : s + step] = block.transpose(2, 0, 1)
-    return d
+            c.take(rows[k], axis=0, out=r, mode="clip")
+            np.add(u, v, out=t)
+            np.minimum(cv, t, out=cv)
+        c.T.take(rows[:, :n], axis=1, out=out[s : s + len(block)], mode="clip")
+    return out.reshape(w.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import pair_indices
-from .metric import DistanceMatrix, _in_slices, shortest_path_closure
+from .exterior import pair_positions
+from .metric import DistanceMatrix, _in_slices, _pair_closure
 
 __all__ = [
     "MATRIX_MODES",
@@ -73,7 +73,8 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
     """``count`` random distance matrices, drawn as in ``sample_distance_matrix``.
 
     Euclidean distances are formed in row slices of ``metric._slice_rows(n * n)``
-    matrices, so the point differences never fill a whole stack.
+    matrices, so the point differences never fill a whole stack.  Repaired
+    weights are closed from their pair values (``metric._pair_closure``).
     """
     if n < 2:
         raise ValueError("distance matrices need size >= 2")
@@ -86,8 +87,7 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
         return _in_slices(distances, n * n, rng.random((count, n, 3)))
     npairs = n * (n - 1) // 2
     if mode == "repaired-random":
-        w = 1.0 - rng.random((count, npairs))  # uniform on (0, 1]
-        return shortest_path_closure(_symmetric_from_pairs(w, n))
+        return _pair_closure(1.0 - rng.random((count, npairs)), n)  # uniform on (0, 1], then closed
     if mode == "zero-one":
         return _symmetric_from_pairs(np.where(rng.random((count, npairs)) < 0.5, 1.0, 2.0), n)
     raise ValueError(f"unknown matrix mode {mode!r}; expected one of {MATRIX_MODES}")
@@ -100,11 +100,8 @@ def sample_symmetric_weights(n: int, rng: np.random.Generator, mode: str = "unif
 
 def _symmetric_from_pairs(w: np.ndarray, n: int) -> np.ndarray:
     """Symmetric zero-diagonal n x n matrices from values over lexicographic pairs (last axis)."""
-    i, j = pair_indices(n)
-    full = np.zeros(w.shape[:-1] + (n, n))
-    full[..., i, j] = w
-    full[..., j, i] = w
-    return full
+    # one gather; the -1 of pair_positions' diagonal picks the zero appended to the pairs
+    return np.concatenate([w, np.zeros(w.shape[:-1] + (1,))], axis=-1)[..., pair_positions(n)]
 
 
 def pair_weights_batch(rng: np.random.Generator, count: int, n: int, mode: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -88,3 +89,17 @@ class TestReportFiles:
         path = tmp_path / "a" / "b" / "r.json"
         fileio.write_report(path, {"k": 1})
         assert fileio.load_report(path) == {"k": 1}
+
+    def test_bytes_equal_a_streamed_dump(self, tmp_path):
+        doc = {
+            "property": "triangle – Schrödinger ψ",
+            "worst_defect": None,
+            "rows": [[0.1 + 0.2, -0.0, 1e-300, 5e-324], [], [[1, 2], [None, "∞"]]],
+            "witness": {"x": [[1.0, -2.5]], "ok": True, "nested": {"empty": {}}},
+        }
+        path = tmp_path / "r.json"
+        fileio.write_report(path, doc)
+        streamed = io.StringIO()
+        json.dump(doc, streamed, indent=2, allow_nan=False)
+        streamed.write("\n")
+        assert path.read_bytes() == streamed.getvalue().encode("ascii")

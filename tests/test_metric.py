@@ -11,6 +11,7 @@ from pqdist.metric import (
     DpMetric,
     _dp_inputs,
     _restricted_form_rows,
+    _slice_rows,
     d2,
     d_hs,
     d_p,
@@ -21,6 +22,7 @@ from pqdist.metric import (
     spectral_condition_n3,
     validate_distance_matrix,
 )
+from pqdist.sampling import distance_matrices_batch, trial_rng
 
 
 def euclidean_matrix(rng, n):
@@ -395,3 +397,83 @@ class TestClosure:
         d = shortest_path_closure(w)
         for k in range(5):
             assert np.array_equal(d[k], shortest_path_closure(w[k]))
+
+
+def symmetric_weights(rng, count, n):
+    """(count, n, n) symmetric zero-diagonal uniform weights with +inf (no edge) on about one pair in eight.
+
+    Every other matrix is sparse instead, with about 7 pairs in 8 infinite,
+    so that its shortest paths run over many edges and their sums depend on
+    the order in which the closure adds them.
+    """
+    w = rng.random((count, n, n))
+    w[rng.random((count, n, n)) < np.where(np.arange(count) % 2, 0.875, 0.125)[:, None, None]] = np.inf
+    w = np.minimum(w, w.transpose(0, 2, 1))
+    w[:, np.arange(n), np.arange(n)] = 0.0
+    return w
+
+
+class TestWrappedDiagonalClosure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 32, 33])
+    def test_matches_scalar_loop_bit_for_bit(self, rng, n):
+        # odd and even n (even n stores the pairs of diagonal n/2 twice); at
+        # n >= 31 the stack is a full block of _slice_rows(n * n // 4)
+        # matrices and a partial one
+        step = _slice_rows(max(1, n * n // 4))
+        count = step + 3 if step < 1000 else 7
+        w = symmetric_weights(rng, count, n)
+        if n >= 4:  # two components: the pairs between them stay unreachable
+            w[1, : n // 2, n // 2 :] = w[1, n // 2 :, : n // 2] = np.inf
+        d = shortest_path_closure(w)
+        for k in sorted({0, 1, step - 1, step, count - 1} & set(range(count))):
+            want = closure_loop(w[k])
+            assert np.array_equal(d[k], want)
+            assert np.array_equal(shortest_path_closure(w[k]), want)
+        if n >= 4:
+            assert np.all(np.isinf(d[1, : n // 2, n // 2 :]))
+        assert np.array_equal(shortest_path_closure(w[:6].reshape(2, 3, n, n)), d[:6].reshape(2, 3, n, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 16])
+    def test_repaired_draws_close_their_pair_weights(self, n):
+        # the draw closes its pair weights without building full matrices first
+        d = distance_matrices_batch(trial_rng(11, n), 64, n, "repaired-random")
+        w = 1.0 - trial_rng(11, n).random((64, n * (n - 1) // 2))
+        full = np.zeros((64, n, n))
+        i, j = np.triu_indices(n, 1)
+        full[:, i, j] = full[:, j, i] = w
+        for k in range(64):
+            assert np.array_equal(d[k], closure_loop(full[k]))
+
+    def test_empty_stack(self):
+        assert shortest_path_closure(np.zeros((0, 5, 5))).shape == (0, 5, 5)
+
+    def test_infinite_weights_allowed(self):
+        w = np.array([[0.0, np.inf, 1.0], [np.inf, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        assert np.array_equal(shortest_path_closure(w), closure_loop(w))
+        assert shortest_path_closure(w)[0, 1] == 3.0
+
+
+class TestClosureGate:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            shortest_path_closure(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            shortest_path_closure(np.zeros(3))
+
+    def test_rejects_asymmetric(self):
+        w = np.zeros((2, 3, 3))
+        w[1, 0, 2] = 1.0  # only the second matrix of the stack
+        with pytest.raises(ValueError, match="symmetric"):
+            shortest_path_closure(w)
+
+    def test_rejects_nonzero_diagonal(self):
+        with pytest.raises(ValueError, match="zero diagonal"):
+            shortest_path_closure([[1.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="negative"):
+            shortest_path_closure([[0.0, -1.0], [-1.0, 0.0]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            shortest_path_closure([[0.0, np.nan], [np.nan, 0.0]])

@@ -5,6 +5,7 @@ from pqdist.exterior import gram_deviation, wedge3
 from pqdist.metric import shortest_path_closure, validate_distance_matrix
 from pqdist.sampling import (
     MATRIX_MODES,
+    _symmetric_from_pairs,
     distance_matrices_batch,
     orthonormal_triples_batch,
     pair_weights_batch,
@@ -111,6 +112,17 @@ class TestDistanceMatrices:
             again = shortest_path_closure(d[k])
             assert np.allclose(again, d[k], atol=1e-15)
             assert validate_distance_matrix(d[k]).ok
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_symmetric_from_pairs_equals_scatter(self, n, lead):
+        w = np.random.default_rng(n).random(lead + (n * (n - 1) // 2,))
+        want = np.zeros(lead + (n, n))
+        i, j = np.triu_indices(n, 1)
+        want[..., i, j] = w
+        want[..., j, i] = w
+        got = _symmetric_from_pairs(w, n)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_zero_one_mode_values(self):
         m = sample_distance_matrix(4, "zero-one", trial_rng(10))
