@@ -30,14 +30,11 @@ in a report; the rows whose interval lies below -tolerance count as
 violations without it.  So reports keep their bytes, and a random chunk
 leaves about one row to the kernel instead of 512.
 
-Defect conventions per property (nonnegative means the property held):
-
-* triangle   (sum of the three distances - twice the largest) / max(1, largest)
-* minorial   min(middle - lower bound, upper bound - middle)
-* projector  min of the two masked-wedge gaps
-* convexity  min of the signed defects for f = max, min, powersum(p)
-* w1         minus the relative residual of the exact generator identity
-* reduction  min of the normalized spectral margin and rescaled residual gates
+Each property is one row of ``_TABLE``: its chunk, its witness replay, its
+smallest n and whether it reads a distance matrix.  Its defect (nonnegative
+means the property held) is one function that the chunk and the replay both
+call: ``_triangle_defect``, ``_minorial_defect``, ``_convexity_defect``,
+``_w1_defect``, ``np.minimum`` of the two projector gaps, ``_reduction_defect``.
 """
 
 from __future__ import annotations
@@ -45,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -79,7 +77,6 @@ from .sampling import (
     _orthonormalize_triples,
     _symmetric_from_pairs,
     distance_matrices_batch,
-    orthonormal_triples_batch,
     pair_weights_batch,
     states_batch,
     trial_rng,
@@ -96,7 +93,6 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 512
-PROPERTIES = ("triangle", "minorial", "convexity", "projector", "reduction", "w1")
 
 # Streams below this base index belong to chunk sampling; the reduction
 # property derives one extra inner stream per trial above it.
@@ -191,7 +187,7 @@ def thread_count(explicit: int | None = None) -> int:
 
 
 def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
-    if prop not in PROPERTIES:
+    if prop not in _TABLE:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
@@ -200,12 +196,12 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
     if not (0 < cfg.tolerance < math.inf):
         raise ValueError("tolerance must be positive and finite")
     _check_exponent(cfg.p)
-    if prop in ("minorial", "convexity", "projector", "reduction", "w1") and cfg.n < 3:
-        raise ValueError(f"property {prop!r} needs dimension >= 3")
+    if cfg.n < _TABLE[prop].min_n:
+        raise ValueError(f"property {prop!r} needs dimension >= {_TABLE[prop].min_n}")
     if prop == "convexity" and cfg.p < 2:
         raise ValueError("convexity fuzzing uses powersum in its concave regime, p >= 2")
     if matrix is not None:
-        if prop not in ("triangle", "reduction"):
+        if not _TABLE[prop].reads_matrix:
             raise ValueError(f"property {prop!r} reads no distance matrix, so a fixed one would be ignored")
         if cfg.matrix_mode != "user-supplied":
             raise ValueError("a fixed matrix requires matrix_mode='user-supplied'")
@@ -217,12 +213,9 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
         raise ValueError(f"unknown matrix mode {cfg.matrix_mode!r}")
 
 
-def _pairs(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def _triples(n: int) -> int:
-    return n * (n - 1) * (n - 2) // 6
+# A property's chunk (cfg, entries, chunk index, row count) -> _ChunkOutcome, its witness
+# replay (witness object, where) -> defect, its smallest n and whether it reads a distance matrix.
+_Property = namedtuple("_Property", "chunk replay min_n reads_matrix", defaults=(3, False))
 
 
 @dataclass
@@ -238,6 +231,15 @@ def _worst(cfg: TrialConfig, chunk: int, defects: np.ndarray) -> tuple[int, int,
     violations = int(np.count_nonzero(~(defects >= -cfg.tolerance)))  # NaN counts
     local = int(np.argmin(defects))
     return violations, local, float(defects[local]), chunk * CHUNK_TRIALS + local
+
+
+def _outcome(cfg: TrialConfig, violations: int, worst: float, trial: int, fields: dict) -> _ChunkOutcome:
+    """A chunk's outcome, whose witness holds the trial index, n, ``fields`` and the defect."""
+    return _ChunkOutcome(violations, worst, trial, {"trial": trial, "n": cfg.n, **fields, "defect": worst})
+
+
+def _xyz(states, local: int) -> dict:
+    return {"x": _c2l(states[0][local]), "y": _c2l(states[1][local]), "z": _c2l(states[2][local])}
 
 
 def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
@@ -300,6 +302,10 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants, ok):
     return np.flatnonzero(open_), int(np.count_nonzero(~open_ & (hi < -tol)))
 
 
+def _triangle_defect(slack, dmax):
+    return slack / np.maximum(1.0, dmax)
+
+
 def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     n, p = cfg.n, cfg.p
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
@@ -308,7 +314,7 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         u, v, w, ok = _orthonormalize_triples(x, y, z)
         variants.append((u, v, w))
     rows, screened = slice(None), 0
-    if _pairs(n) >= _SCREEN_MIN_PAIRS:
+    if math.comb(n, 2) >= _SCREEN_MIN_PAIRS:
         rows, screened = _triangle_candidates(cfg, entries, mats, variants, ok)
     wts = pair_weights(mats[rows], p)
 
@@ -316,8 +322,8 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         return _triangle_rows(wt, p, a, b, c)
 
     def norm_defect(a, b, c):
-        slack, dmax, d = _in_slices(kernel, _pairs(n), wts, a[rows], b[rows], c[rows])
-        return slack / np.maximum(1.0, dmax), d
+        slack, dmax, d = _in_slices(kernel, math.comb(n, 2), wts, a[rows], b[rows], c[rows])
+        return _triangle_defect(slack, dmax), d
 
     defect, raw_d = norm_defect(x, y, z)
     variant_ortho = np.zeros(len(defect), dtype=bool)
@@ -340,85 +346,94 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         "n": n,
         "p": float(p),
         "matrix": _m2l(mats[local]),
-        "x": _c2l(states[0][local]),
-        "y": _c2l(states[1][local]),
-        "z": _c2l(states[2][local]),
+        **_xyz(states, local),
         "distances": [float(d) for d in dists[sub]],
         "defect": worst,
     }
     return _ChunkOutcome(screened + violations, worst, trial, witness)
 
 
-def _ortho_weight_batch(cfg: TrialConfig, chunk: int, count: int):
+def _replay_triangle(w: dict, where: str):
+    x, y, z = (_complex_rows(w, k, where) for k in ("x", "y", "z"))
+    e, p = _number_rows(w, "matrix", where), get_field(w, "p", float, where)
+    return _triangle_defect(*triangle_defect(e, p, x, y, z))
+
+
+def _chunk_weighted(kernel, defect, cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+    """Chunk of orthonormal triples under random pair weights.  ``kernel(p)`` is the row kernel, and
+    ``defect(p, *its outputs)`` gives every row's defect and a function from a row to its witness fields."""
     rng = trial_rng(cfg.seed, chunk)
-    u, v, w, ok = orthonormal_triples_batch(rng, count, cfg.n)
-    mode = "zero-one" if cfg.matrix_mode == "zero-one" else "uniform"
-    a = pair_weights_batch(rng, count, cfg.n, mode)
-    return u, v, w, ok, a
+    n = cfg.n
+    u, v, w, ok = _orthonormalize_triples(*(states_batch(rng, count, n) for _ in range(3)))
+    a = pair_weights_batch(rng, count, n, "zero-one" if cfg.matrix_mode == "zero-one" else "uniform")
+    defects, fields = defect(cfg.p, *_in_slices(kernel(cfg.p), math.comb(n, 3), a, u, v, w))
+    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, defects, np.inf))
+    return _outcome(cfg, violations, worst, trial, {
+        "weights": _m2l(_symmetric_from_pairs(a[local], n)),
+        **_xyz((u, v, w), local),
+        **fields(local),
+    })
 
 
-def _witness_triple(cfg, a, u, v, w, local, trial, extra) -> dict:
-    return {
-        "trial": trial,
-        "n": cfg.n,
-        "weights": _m2l(_symmetric_from_pairs(a[local], cfg.n)),
-        "x": _c2l(u[local]),
-        "y": _c2l(v[local]),
-        "z": _c2l(w[local]),
-        **extra,
-    }
+def _replay_weighted(kernel, defect, w: dict, where: str, p=None):
+    x, y, z = (_complex_rows(w, k, where) for k in ("x", "y", "z"))
+    return defect(p, *kernel(p)(*_weighted_rows(_number_rows(w, "weights", where), x, y, z)))[0][0]
 
 
-def _chunk_minorial(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
-    u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    lower, upper = _in_slices(_minorial_rows, _triples(cfg.n), a, u, v, w)
-    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, np.minimum(lower, upper), np.inf))
-    extra = {"lower": float(lower[local]), "upper": float(upper[local]), "defect": worst}
-    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
+def _weighted(kernel, defect, replay=None) -> _Property:
+    """Table row of a property of orthonormal triples under random pair weights."""
+    return _Property(partial(_chunk_weighted, kernel, defect), replay or partial(_replay_weighted, kernel, defect))
+
+
+def _minorial_defect(p, lower, upper):
+    return np.minimum(lower, upper), lambda i: {"lower": float(lower[i]), "upper": float(upper[i])}
 
 
 # Shapes fuzzed by the convexity campaign; "sum" is the w1 identity.
 _FUZZ_SHAPES = ("max", "min", "powersum")
 
 
-def _chunk_convexity(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
-    u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    stacked = _in_slices(partial(_convexity_rows, _FUZZ_SHAPES, p=cfg.p), _triples(cfg.n), a, u, v, w)
-    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, stacked.min(axis=-1), np.inf))
-    fname = _FUZZ_SHAPES[int(stacked[local].argmin())]
-    extra = {"fname": fname, "p": float(cfg.p), "defect": worst}
-    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
+def _convexity_kernel(p, shapes=_FUZZ_SHAPES):
+    return lambda a, x, y, z: (_convexity_rows(shapes, a, x, y, z, p),)  # one output: (count, len(shapes))
 
 
-def _chunk_w1(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
-    u, v, w, ok, a = _ortho_weight_batch(cfg, chunk, count)
-    lhs, rhs, residual = _in_slices(_w1_rows, _triples(cfg.n), a, u, v, w)
-    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, -residual, np.inf))
-    extra = {"lhs": float(lhs[local]), "rhs": float(rhs[local]), "residual": float(residual[local]), "defect": worst}
-    return _ChunkOutcome(violations, worst, trial, _witness_triple(cfg, a, u, v, w, local, trial, extra))
+def _convexity_defect(p, stacked):
+    return stacked.min(axis=-1), lambda i: {"fname": _FUZZ_SHAPES[int(stacked[i].argmin())], "p": float(p)}
+
+
+def _replay_convexity(w: dict, where: str):
+    fname, p = get_field(w, "fname", str, where), get_field(w, "p", float, where)
+    _check_shape(fname, p)
+    return _replay_weighted(partial(_convexity_kernel, shapes=(fname,)), _convexity_defect, w, where, p)
+
+
+def _w1_defect(p, lhs, rhs, residual):
+    return -residual, lambda i: {"lhs": float(lhs[i]), "rhs": float(rhs[i]), "residual": float(residual[i])}
 
 
 def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     rng = trial_rng(cfg.seed, chunk)
     n = cfg.n
-    npairs = _pairs(n)
+    npairs = math.comb(n, 2)
     b = states_batch(rng, count, npairs)  # unit bivectors: unit vectors over the pairs
     v = states_batch(rng, count, n)
     mask = rng.random((count, npairs)) < 0.5
-    outer, inner = _in_slices(_projector_rows, _triples(n), b, v, mask)
+    outer, inner = _in_slices(_projector_rows, math.comb(n, 3), b, v, mask)
     violations, local, worst, trial = _worst(cfg, chunk, np.minimum(outer, inner))
     pi, pj = pair_indices(n)
-    witness = {
-        "trial": trial,
-        "n": n,
+    return _outcome(cfg, violations, worst, trial, {
         "pairs": [[int(i), int(j)] for i, j in zip(pi[mask[local]], pj[mask[local]])],
         "bivector": _c2l(b[local]),
         "v": _c2l(v[local]),
         "outer": float(outer[local]),
         "inner": float(inner[local]),
-        "defect": worst,
-    }
-    return _ChunkOutcome(violations, worst, trial, witness)
+    })
+
+
+def _replay_projector(w: dict, where: str):
+    b = Bivector(get_field(w, "n", int, where), _complex_rows(w, "bivector", where))
+    _number_rows(w, "pairs", where)  # a list of lists; the verifier checks each pair
+    return np.minimum(*check_projector_inequality(w["pairs"], b, _complex_rows(w, "v", where)))
 
 
 def _reduction_defect(hodge_residual, mu_residual, spectral_margin, fuzz_ok, tol: float):
@@ -435,17 +450,13 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     def kernel(wts, x, y, z, draws):
         return _reduction_rows(wts, cfg.p, x, y, z, draws, cfg.tolerance)
 
-    rows = _in_slices(kernel, _pairs(cfg.n), pair_weights(mats, cfg.p), x, y, z, draws)
+    rows = _in_slices(kernel, math.comb(cfg.n, 2), pair_weights(mats, cfg.p), x, y, z, draws)
     violations, local, worst, trial = _worst(cfg, chunk, _reduction_defect(*rows[1:], cfg.tolerance))
     rep = _reduction_report(rows, local, cfg.tolerance)
-    witness = {
-        "trial": trial,
-        "n": cfg.n,
+    return _outcome(cfg, violations, worst, trial, {
         "p": float(cfg.p),
         "matrix": _m2l(mats[local]),
-        "x": _c2l(x[local]),
-        "y": _c2l(y[local]),
-        "z": _c2l(z[local]),
+        **_xyz((x, y, z), local),
         "inner_seed": int(cfg.seed),
         "inner_stream": _REDUCTION_STREAM_BASE + trial,
         "tolerance": float(cfg.tolerance),
@@ -453,19 +464,29 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
         "mu_residual": rep.mu_residual,
         "spectral_margin": rep.spectral_margin,
         "verdict": bool(rep.verdict),
-        "defect": worst,
-    }
-    return _ChunkOutcome(violations, worst, trial, witness)
+    })
 
 
-_KERNELS = {
-    "triangle": _chunk_triangle,
-    "minorial": _chunk_minorial,
-    "convexity": _chunk_convexity,
-    "projector": _chunk_projector,
-    "reduction": _chunk_reduction,
-    "w1": _chunk_w1,
+def _replay_reduction(w: dict, where: str):
+    x, y, z = (_complex_rows(w, k, where) for k in ("x", "y", "z"))
+    e, p = _number_rows(w, "matrix", where), get_field(w, "p", float, where)
+    tol = get_field(w, "tolerance", float, where)
+    stream = {k: get_field(w, k, int, where) for k in ("inner_seed", "inner_stream")}
+    r = check_orthonormal_reduction(e, p, x, y, z, **stream, tol=tol)
+    return _reduction_defect(r.hodge_residual, r.mu_residual, r.spectral_margin, r.subspace_fuzz_ok, tol)
+
+
+_TABLE = {
+    "triangle": _Property(_chunk_triangle, _replay_triangle, min_n=2, reads_matrix=True),
+    "minorial": _weighted(lambda p: _minorial_rows, _minorial_defect),
+    "convexity": _weighted(_convexity_kernel, _convexity_defect, _replay_convexity),
+    "projector": _Property(_chunk_projector, _replay_projector),
+    "reduction": _Property(_chunk_reduction, _replay_reduction, reads_matrix=True),
+    "w1": _weighted(lambda p: _w1_rows, _w1_defect),
 }
+PROPERTIES = tuple(_TABLE)
+# Chunk callables by property, looked up on every campaign so a caller may wrap them.
+_KERNELS = {prop: row.chunk for prop, row in _TABLE.items()}
 
 
 def run_fuzz(
@@ -514,29 +535,6 @@ def reevaluate_witness(prop: str, witness: dict) -> float:
     A missing or mistyped field raises ValueError; inputs are checked, never repaired."""
     where = f"{prop} witness"
     w = _object(witness, where)
-    if prop == "projector":
-        b = Bivector(get_field(w, "n", int, where), _complex_rows(w, "bivector", where))
-        _number_rows(w, "pairs", where)  # a list of lists; the verifier checks each pair
-        d = check_projector_inequality(w["pairs"], b, _complex_rows(w, "v", where))
-        return min(d.outer, d.inner)
-    if prop not in PROPERTIES:
+    if prop not in _TABLE:
         raise ValueError(f"unknown property {prop!r}")
-    x, y, z = (_complex_rows(w, k, where) for k in ("x", "y", "z"))
-    if prop in ("triangle", "reduction"):
-        e, p = _number_rows(w, "matrix", where), get_field(w, "p", float, where)
-    if prop == "triangle":
-        d, dmax = triangle_defect(e, p, x, y, z)
-        return d / max(1.0, dmax)
-    if prop == "reduction":
-        tol = get_field(w, "tolerance", float, where)
-        stream = {k: get_field(w, k, int, where) for k in ("inner_seed", "inner_stream")}
-        r = check_orthonormal_reduction(e, p, x, y, z, **stream, tol=tol)
-        return float(_reduction_defect(r.hodge_residual, r.mu_residual, r.spectral_margin, r.subspace_fuzz_ok, tol))
-    rows = _weighted_rows(_number_rows(w, "weights", where), x, y, z)
-    if prop == "minorial":
-        return float(np.minimum(*_minorial_rows(*rows))[0])
-    if prop == "convexity":
-        fname, p = get_field(w, "fname", str, where), get_field(w, "p", float, where)
-        _check_shape(fname, p)
-        return float(_convexity_rows((fname,), *rows, p)[0, 0])
-    return -float(_w1_rows(*rows)[2][0])
+    return float(_TABLE[prop].replay(w, where))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ class TestDeterminism:
             assert rep.trials == trials
 
 
+_TRIANGLE_KEYS = ["trial", "variant", "n", "p", "matrix", "x", "y", "z", "distances", "defect"]
+_WEIGHTED_KEYS = ["trial", "n", "weights", "x", "y", "z"]
+_REDUCTION_KEYS = [
+    "trial", "n", "p", "matrix", "x", "y", "z", "inner_seed", "inner_stream", "tolerance",
+    "hodge_residual", "mu_residual", "spectral_margin", "verdict", "defect",
+]  # fmt: skip
+
+
 class TestAllProperties:
     @pytest.mark.parametrize(
         "prop,cfg",
@@ -172,11 +181,64 @@ class TestAllProperties:
         with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
             reevaluate_witness(prop, {**good, key: [row + [9.0] for row in good[key]]})
 
+    @pytest.mark.parametrize(
+        "prop,cfg,keys",
+        [
+            # n=2 has no orthonormal variant; n=9 is screened
+            ("triangle", TrialConfig(n=2, p=2.0, trials=600, seed=2), _TRIANGLE_KEYS),
+            ("triangle", TrialConfig(n=9, p=2.0, trials=600, seed=2), _TRIANGLE_KEYS),
+            ("minorial", TrialConfig(n=4, p=2.0, trials=600, seed=2), _WEIGHTED_KEYS + ["lower", "upper", "defect"]),
+            ("convexity", TrialConfig(n=4, p=2.0, trials=600, seed=2), _WEIGHTED_KEYS + ["fname", "p", "defect"]),
+            (
+                "projector",
+                TrialConfig(n=4, p=2.0, trials=600, seed=2),
+                ["trial", "n", "pairs", "bivector", "v", "outer", "inner", "defect"],
+            ),
+            ("reduction", TrialConfig(n=4, p=2.0, trials=40, seed=2), _REDUCTION_KEYS),
+            ("w1", TrialConfig(n=4, p=2.0, trials=600, seed=2), _WEIGHTED_KEYS + ["lhs", "rhs", "residual", "defect"]),
+        ],
+    )
+    def test_witness_keys_in_order(self, prop, cfg, keys):
+        # the key order is part of the report bytes
+        assert list(run_fuzz(prop, cfg).witness) == keys
+
     @pytest.mark.parametrize("prop", ["minorial", "convexity", "w1"])
     def test_replay_checks_orthonormality_without_repair(self, prop):
         w = json.loads(json.dumps(run_fuzz(prop, TrialConfig(n=4, p=2.0, trials=20, seed=3)).witness))
         with pytest.raises(ValueError, match="not orthonormal"):
             reevaluate_witness(prop, {**w, "y": w["x"]})
+
+
+# Calls per chunk of each drawing function that a chunk looks up on pqdist.fuzz.
+_DRAWS = {
+    "triangle": {"distance_matrices_batch": 1, "states_batch": 3, "_orthonormalize_triples": 1},
+    "minorial": {"states_batch": 3, "_orthonormalize_triples": 1, "pair_weights_batch": 1},
+    "convexity": {"states_batch": 3, "_orthonormalize_triples": 1, "pair_weights_batch": 1},
+    "projector": {"states_batch": 2},
+    "reduction": {"distance_matrices_batch": 1, "states_batch": 3},
+    "w1": {"states_batch": 3, "_orthonormalize_triples": 1, "pair_weights_batch": 1},
+}
+
+
+class TestTracedNames:
+    @pytest.mark.parametrize("prop", PROPERTIES)
+    def test_chunks_and_draws_go_through_module_names(self, monkeypatch, prop):
+        # a tracer times a campaign by wrapping these module attributes, so
+        # every chunk and every draw must look them up when it runs
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setitem(fuzz._KERNELS, prop, counting("chunk", fuzz._KERNELS[prop]))
+        for name in ("states_batch", "_orthonormalize_triples", "pair_weights_batch", "distance_matrices_batch"):
+            monkeypatch.setattr(fuzz, name, counting(name, getattr(fuzz, name)))
+        run_fuzz(prop, TrialConfig(n=4, p=2.0, trials=CHUNK_TRIALS + 1, seed=1), threads=1)
+        assert calls == Counter({"chunk": 2, **{name: 2 * k for name, k in _DRAWS[prop].items()}})
 
 
 def _width(prop: str, n: int) -> int:

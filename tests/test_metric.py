@@ -367,8 +367,9 @@ def closure_loop(w):
 
 class TestClosure:
     def test_matches_scalar_loop_bit_for_bit(self, rng):
-        # blocks of _slice_rows(n * n) matrices: 36 at n = 30, so 40 matrices
-        # run as a full block and a partial one
+        # blocks of _slice_rows(n * n // 4) matrices: 145 at n = 30, so 40
+        # matrices run as one partial block (TestWrappedDiagonalClosure
+        # covers a full block and a partial one)
         n, count = 30, 40
         w = rng.random((count, n, n))
         w = (w + w.transpose(0, 2, 1)) / 2
