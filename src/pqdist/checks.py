@@ -368,7 +368,9 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     spectral margin and whether every subspace sample kept the triangle
     inequality within ``tol``; a sample whose draw is degenerate (its frame
     is flagged by the Gram-Schmidt) counts as failed.  The frames are built
-    in the memory of ``draws``, which the call overwrites.
+    in the memory of ``draws``, which the call overwrites.  One product maps
+    every sample's frame into V; it holds a (count, 3 samples, n) complex
+    array, at most about 3.4 MB because a slice's rows shrink with C(n, 2).
     """
     q, _ = np.linalg.qr(np.stack([x, y, z], axis=-1))
     v = q.swapaxes(-1, -2)
@@ -395,9 +397,9 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     for a, g in enumerate(vectors):
         cols[:, a] = g
     fuzz_ok = ok.reshape(count, samples).all(axis=-1)
-    for s in range(samples):
-        t = frames[:, s] @ v
-        slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
+    mapped = frames.reshape(count, samples * 3, 3) @ v
+    for s in range(0, samples * 3, 3):
+        slack, dmax, _ = _triangle_rows(wts, p, mapped[:, s], mapped[:, s + 1], mapped[:, s + 2])
         fuzz_ok &= slack >= -tol * np.maximum(1.0, dmax)  # NaN fails
     return mus, hodge_residual, mu_residual, spectral_margin, fuzz_ok
 

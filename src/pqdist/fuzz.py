@@ -39,6 +39,7 @@ call: ``_triangle_defect``, ``_minorial_defect``, ``_convexity_defect``,
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import time
@@ -97,6 +98,25 @@ CHUNK_TRIALS = 512
 # Streams below this base index belong to chunk sampling; the reduction
 # property derives one extra inner stream per trial above it.
 _REDUCTION_STREAM_BASE = 1 << 32
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed chunk memory in the process; a no-op where glibc's ``mallopt`` is missing.
+
+    glibc hands the free top of its heap back after a chunk, so the next one
+    faults the same pages in again.  Fixing the mmap and trim thresholds at
+    the ceilings of glibc's own dynamic rule on 64-bit turns that rule off.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 @dataclass(frozen=True)

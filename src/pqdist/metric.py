@@ -182,9 +182,10 @@ def _in_slices(kernel, width: int, *rows):
     """Run ``kernel`` over consecutive row slices of ``rows`` and join its outputs.
 
     ``width`` is the kernel's elements per row; every output has rows on axis 0.
+    Without rows, the kernel runs once on the empty rows.
     """
     step = _slice_rows(width)
-    parts = [kernel(*(r[s : s + step] for r in rows)) for s in range(0, len(rows[0]), step)]
+    parts = [kernel(*(r[s : s + step] for r in rows)) for s in range(0, max(len(rows[0]), 1), step)]
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], tuple):

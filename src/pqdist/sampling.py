@@ -73,7 +73,9 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
     """``count`` random distance matrices, drawn as in ``sample_distance_matrix``.
 
     Euclidean distances are formed in row slices of ``metric._slice_rows(n * n)``
-    matrices, so the point differences never fill a whole stack.  Repaired
+    matrices, one coordinate at a time: the squared x, y and z differences
+    are added into one (rows, n, n) buffer, left to right as numpy sums a
+    length-3 axis, so no (rows, n, n, 3) difference array is built.  Repaired
     weights are closed from their pair values (``metric._pair_closure``).
     """
     if n < 2:
@@ -81,8 +83,11 @@ def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: 
     if mode == "euclidean-points":
 
         def distances(pts):
-            diff = pts[:, :, None, :] - pts[:, None, :, :]
-            return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+            out = np.zeros((len(pts), n, n))
+            diff = np.empty_like(out)
+            for c in np.moveaxis(pts, -1, 0):
+                out += np.square(np.subtract(c[:, :, None], c[:, None, :], out=diff), out=diff)
+            return np.sqrt(out, out=out)
 
         return _in_slices(distances, n * n, rng.random((count, n, 3)))
     npairs = n * (n - 1) // 2
@@ -115,8 +120,15 @@ def pair_weights_batch(rng: np.random.Generator, count: int, n: int, mode: str) 
 
 
 def states_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    """``count`` unit vectors of C^n, drawn into one complex array and scaled in place by
+    ``1 / norm``: numpy's complex-by-real division computes that product, so the bits are
+    those of ``v / norm``."""
+    v = np.empty((count, n), dtype=complex)
+    v.real = rng.standard_normal((count, n))
+    v.imag = rng.standard_normal((count, n))
+    parts = v.view(float)
+    parts *= 1.0 / np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def orthonormal_triples_batch(rng: np.random.Generator, count: int, n: int):
@@ -136,9 +148,13 @@ def _orthonormalize_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray):
 
     Works in place on copies of the inputs with one temporary array, so a call
     holds four arrays of the inputs' size besides the inputs.  ``ok`` is
-    False on rows with a residual below 1e-8.
+    False on rows with a residual below 1e-8.  Below four components the
+    copies and the temporary are column-major, so each row sum is a few
+    contiguous adds: numpy sums fewer than four complex values term by term
+    in either memory order, but from four on sums a C-order row pairwise.
     """
-    tmp = np.empty(x.shape, dtype=complex)
+    order = "F" if x.shape[-1] < 4 else "C"
+    tmp = np.empty(x.shape, dtype=complex, order=order)
 
     def project_out(q, r):  # r -= <q, r> q
         np.multiply(np.conjugate(q, out=tmp), r, out=tmp)
@@ -151,12 +167,12 @@ def _orthonormalize_triples(x: np.ndarray, y: np.ndarray, z: np.ndarray):
         r /= np.where(nr == 0, 1.0, nr)
         return r, nr[:, 0] > 1e-8
 
-    u, ok_u = unit(np.array(x, dtype=complex))
-    yv = np.array(y, dtype=complex)
+    u, ok_u = unit(np.array(x, dtype=complex, order=order))
+    yv = np.array(y, dtype=complex, order=order)
     for _ in range(2):
         project_out(u, yv)
     v, ok_v = unit(yv)
-    zv = np.array(z, dtype=complex)
+    zv = np.array(z, dtype=complex, order=order)
     for _ in range(2):
         project_out(u, zv)
         project_out(v, zv)

@@ -394,6 +394,38 @@ class TestOrthonormalReduction:
         with pytest.raises(ValueError, match="cannot span"):
             check_orthonormal_reduction(e, 2.0, basis(2, 0), basis(2, 1), basis(2, 0))
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 16, 32])
+    @pytest.mark.parametrize("count", [1, 7, 512])
+    def test_one_product_maps_every_subspace_sample(self, n, count):
+        # one (count, 48, 3) @ (count, 3, n) product keeps the bits of the 16 per-sample products
+        rng = trial_rng(n, count)
+        frames = states_batch(rng, count * 48, 3).reshape(count, 16, 3, 3)
+        q, _ = np.linalg.qr(np.stack([states_batch(rng, count, n) for _ in range(3)], axis=-1))
+        v = q.swapaxes(-1, -2)
+        want = np.concatenate([frames[:, s] @ v for s in range(16)], axis=1)
+        assert np.array_equal(frames.reshape(count, 48, 3) @ v, want)
+
+    @pytest.mark.parametrize("n,p,tol", [(3, 2.0, 1e-9), (3, 2.0, -0.1), (4, 2.5, -0.1), (6, 1.5, -0.1)])
+    def test_subspace_verdicts_match_per_sample_products(self, n, p, tol):
+        # a negative tolerance asks for a margin, so some rows fail and some pass
+        rng = trial_rng(60 + n)
+        count = 200
+        wts = pair_weights(distance_matrices_batch(rng, count, n, "repaired-random"), p)
+        x, y, z = (states_batch(rng, count, n) for _ in range(3))
+        draws = _subspace_draws(5, range(count), 16)
+        # the per-sample loop the kernel ran before its one product, on frames built as it builds them
+        v = np.linalg.qr(np.stack([x, y, z], axis=-1))[0].swapaxes(-1, -2)
+        cols = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2).reshape(-1, 3, 3)
+        *vectors, ok = _orthonormalize_triples(cols[:, 0], cols[:, 1], cols[:, 2])
+        frames = np.stack(vectors, axis=1).reshape(count, 16, 3, 3)
+        want = ok.reshape(count, 16).all(axis=-1)
+        for s in range(16):
+            t = frames[:, s] @ v
+            slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
+            want &= slack >= -tol * np.maximum(1.0, dmax)
+        assert tol > 0 or 0 < want.sum() < count
+        assert np.array_equal(_reduction_rows(wts, p, x, y, z, draws, tol)[4], want)
+
 
 class TestTriangleDefect:
     def test_eigenweight_violation_at_canonical_triple(self):

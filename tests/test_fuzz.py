@@ -1,4 +1,7 @@
+import ctypes
 import json
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -284,6 +287,41 @@ class TestKernelSlices:
         finally:
             tracemalloc.stop()
         assert peak < mib * 2**20
+
+
+_REPEAT_CAMPAIGN = """
+import resource
+from pqdist.fuzz import TrialConfig, run_fuzz
+cfg = TrialConfig(n=6, p=2.5, trials=16384, seed=1)
+run_fuzz("triangle", cfg, threads=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_fuzz("triangle", cfg, threads=1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_repeated_campaign_keeps_its_chunk_memory():
+    # with glibc's malloc thresholds pinned, chunks reuse the pages the
+    # previous chunks freed; a fresh interpreter keeps other tests' allocations out
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("no glibc mallopt")
+    proc = subprocess.run([sys.executable, "-c", _REPEAT_CAMPAIGN], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16384 // CHUNK_TRIALS  # fewer minor faults than chunks
+
+
+@pytest.mark.parametrize("missing", [OSError, AttributeError])
+def test_malloc_pin_is_a_no_op_without_mallopt(monkeypatch, missing):
+    # no C library to load, or one without mallopt
+    def cdll(name):
+        if missing is OSError:
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(fuzz.ctypes, "CDLL", cdll)
+    assert fuzz._pin_malloc_thresholds() is None
 
 
 def _unit(v):

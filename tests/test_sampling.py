@@ -5,6 +5,7 @@ from pqdist.exterior import gram_deviation, wedge3
 from pqdist.metric import shortest_path_closure, validate_distance_matrix
 from pqdist.sampling import (
     MATRIX_MODES,
+    _orthonormalize_triples,
     _symmetric_from_pairs,
     distance_matrices_batch,
     orthonormal_triples_batch,
@@ -143,3 +144,72 @@ class TestWeights:
     def test_zero_one_mode(self):
         w = pair_weights_batch(trial_rng(12), 16, 5, "zero-one")
         assert set(np.unique(w)) <= {0.0, 1.0}
+
+
+def _reference_orthonormalize(x, y, z):
+    """The C-order Gram-Schmidt every n used before the column-major path below four components."""
+    tmp = np.empty(x.shape, dtype=complex)
+
+    def project_out(q, r):
+        np.multiply(np.conjugate(q, out=tmp), r, out=tmp)
+        np.multiply(tmp.sum(axis=1, keepdims=True), q, out=tmp)
+        r -= tmp
+
+    def unit(r):
+        np.multiply(np.conjugate(r, out=tmp), r, out=tmp)
+        nr = np.sqrt(tmp.real.sum(axis=1, keepdims=True))
+        r /= np.where(nr == 0, 1.0, nr)
+        return r, nr[:, 0] > 1e-8
+
+    u, ok_u = unit(np.array(x, dtype=complex))
+    yv = np.array(y, dtype=complex)
+    for _ in range(2):
+        project_out(u, yv)
+    v, ok_v = unit(yv)
+    zv = np.array(z, dtype=complex)
+    for _ in range(2):
+        project_out(u, zv)
+        project_out(v, zv)
+    w, ok_w = unit(zv)
+    return u, v, w, ok_u & ok_v & ok_w
+
+
+class TestSameBitsAsWholeArrayDraws:
+    """Each draw stage keeps the bits of the whole-array expression it replaced."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 16, 64])
+    @pytest.mark.parametrize("count", [1, 513])
+    def test_euclidean_draw(self, n, count):
+        pts = trial_rng(n, count).random((count, n, 3))
+        diff = pts[:, :, None, :] - pts[:, None, :, :]
+        want = np.sqrt(np.square(diff).sum(axis=-1))
+        got = distance_matrices_batch(trial_rng(n, count), count, n, "euclidean-points")
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64])
+    def test_states(self, n):
+        rng = trial_rng(n)
+        v = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
+        want = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(states_batch(trial_rng(n), 300, n), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_orthonormalize(self, n, strided):
+        # n < 4 runs column-major, n >= 4 row-major; strided rows are the
+        # reduction's frame columns cols[:, a] of a (rows, 3, n) stack
+        rng = trial_rng(40 + n)
+        if strided:
+            cols = rng.standard_normal((700, 3, n)) + 1j * rng.standard_normal((700, 3, n))
+            xyz = cols[:, 0], cols[:, 1], cols[:, 2]
+        else:
+            xyz = tuple(states_batch(rng, 700, n) for _ in range(3))
+        got, want = _orthonormalize_triples(*xyz), _reference_orthonormalize(*xyz)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert got[3].all() == (n >= 3)
+
+
+@pytest.mark.parametrize("mode", MATRIX_MODES)
+def test_zero_count_draws_are_empty(mode):
+    assert distance_matrices_batch(trial_rng(0), 0, 4, mode).shape == (0, 4, 4)
