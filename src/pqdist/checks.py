@@ -463,7 +463,7 @@ def counterexample_p_lt_2(p: float, e12: float, theta: float | None = None) -> C
     y = np.array([c, -s], dtype=complex)
     z = np.array([1.0, 0.0], dtype=complex)
     entries = np.array([[0.0, e12], [e12, 0.0]])
-    return Counterexample(
+    ce = Counterexample(
         p=p,
         e12=float(e12),
         theta=theta,
@@ -474,3 +474,6 @@ def counterexample_p_lt_2(p: float, e12: float, theta: float | None = None) -> C
         d_xz=dp_from_weights(entries, p, x, z),
         d_yz=dp_from_weights(entries, p, y, z),
     )
+    if not ce.margin > 0:
+        raise ValueError(f"E12={e12!r} at p={p!r} gives no violation in floating point (margin {ce.margin!r})")
+    return ce

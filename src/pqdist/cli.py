@@ -30,10 +30,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        result = validate_distance_matrix(fileio.load_matrix(args.matrix))
-    except (OSError, ValueError, json.JSONDecodeError) as ex:
-        return _fail(USAGE_ERROR, str(ex))
+    result = validate_distance_matrix(fileio.load_matrix(args.matrix))
     if result.ok:
         print(f"valid distance matrix (n={result.matrix.n})")
         return 0
@@ -44,13 +41,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    try:
-        metric = DpMetric(DistanceMatrix.from_array(fileio.load_matrix(args.matrix)), args.p)
-        x = fileio.load_state(args.x)
-        y = fileio.load_state(args.y)
-        dist, hs = d_p(metric, x, y), d_hs(x, y)
-    except (OSError, ValueError, json.JSONDecodeError) as ex:
-        return _fail(USAGE_ERROR, str(ex))
+    metric = DpMetric(DistanceMatrix.from_array(fileio.load_matrix(args.matrix)), args.p)
+    x = fileio.load_state(args.x)
+    y = fileio.load_state(args.y)
+    dist, hs = d_p(metric, x, y), d_hs(x, y)
     if args.p < 2:
         print(f"warning: p={args.p:g} < 2 is not guaranteed to be a metric", file=sys.stderr)
     if args.format == "json":
@@ -76,21 +70,18 @@ def _config_from_args(args, base: dict) -> TrialConfig:
 
 
 def cmd_fuzz(args) -> int:
-    try:
-        base = fileio.load_object(args.config) if args.config else {}
-        matrix = None
-        if args.matrix:
-            matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix))
-            if args.n is None:
-                args.n = matrix.n
-            args.mode = "user-supplied"
-        cfg = _config_from_args(args, base)
-        prop = args.property or base.get("property")
-        if prop is None:
-            return _fail(USAGE_ERROR, "--property is required")
-        report = run_fuzz(prop, cfg, matrix=matrix, threads=args.threads)
-    except (OSError, ValueError, json.JSONDecodeError) as ex:
-        return _fail(USAGE_ERROR, str(ex))
+    base = fileio.load_object(args.config) if args.config else {}
+    matrix = None
+    if args.matrix:
+        matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix))
+        if args.n is None:
+            args.n = matrix.n
+        args.mode = "user-supplied"
+    cfg = _config_from_args(args, base)
+    prop = args.property or fileio.get_field(base, "property", str, args.config, None)
+    if prop is None:
+        return _fail(USAGE_ERROR, "--property is required")
+    report = run_fuzz(prop, cfg, matrix=matrix, threads=args.threads)
     doc = report.to_dict()
     if args.out:
         fileio.write_report(args.out, doc)
@@ -114,10 +105,7 @@ def cmd_counterexample(args) -> int:
             f"p={args.p:g} >= 2 is guaranteed to give a metric (triangle inequality holds); "
             "no counterexample exists",
         )
-    try:
-        ce = counterexample_p_lt_2(args.p, args.e12, theta=args.theta)
-    except ValueError as ex:
-        return _fail(USAGE_ERROR, str(ex))
+    ce = counterexample_p_lt_2(args.p, args.e12, theta=args.theta)
     print(f"p = {ce.p:.15g}, E12 = {ce.e12:.15g}, theta = {ce.theta:.15g}")
     print(f"x = cos(theta) e1 + sin(theta) e2 = {_fmt_state(ce.x)}")
     print(f"y = cos(theta) e1 - sin(theta) e2 = {_fmt_state(ce.y)}")
@@ -134,11 +122,8 @@ def _fmt_state(v) -> str:
 
 
 def cmd_embed(args) -> int:
-    try:
-        _check_exponent(args.p)
-        result = validate_distance_matrix(fileio.load_matrix(args.matrix))
-    except (OSError, ValueError, json.JSONDecodeError) as ex:
-        return _fail(USAGE_ERROR, str(ex))
+    _check_exponent(args.p)
+    result = validate_distance_matrix(fileio.load_matrix(args.matrix))
     if not result.ok:
         print("invalid distance matrix:", file=sys.stderr)
         for v in result.violations[:10]:
@@ -229,9 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as ex:
+        return _fail(USAGE_ERROR, str(ex))
 
 
 def entry() -> None:

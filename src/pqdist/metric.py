@@ -403,22 +403,21 @@ def embed(rho: DistanceMatrix, p: float):
     """Isometric embedding of a finite metric space onto canonical basis states.
 
     Point i is mapped to e_i; the induced distance between e_i and e_j is
-    exactly the (i, j) entry of the metric, which is verified to 1e-12
-    relative before returning.
+    exactly the (i, j) entry of the metric, verified to 1e-12 relative in one
+    pass: the only nonzero minor of e_i, e_j is 1, so d_p(e_i, e_j) is
+    (E_ij^p)^(1/p) bit for bit while every E^p is finite.  NaN or inf fails.
     """
     if p < 2:
         raise ValueError("embedding requires p >= 2; smaller p does not give a metric")
-    n = rho.n
-    states = [np.eye(n, dtype=complex)[i] for i in range(n)]
     metric = DpMetric(rho, p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            got = d_p(metric, states[i], states[j])
-            if abs(got - rho.entries[i, j]) > 1e-12 * rho.entries[i, j]:
-                raise ArithmeticError(
-                    f"embedding round-trip failed at ({i},{j}): {got!r} vs {rho.entries[i,j]!r}"
-                )
-    return states, metric
+    want = pair_weights(rho.entries, 1.0)
+    got = pair_weights(rho.entries, p) ** (1.0 / p)
+    bad = np.flatnonzero(~(np.abs(got - want) <= 1e-12 * want))
+    if bad.size:
+        i, j = pair_indices(rho.n)
+        k = bad[0]
+        raise ArithmeticError(f"embedding round-trip failed at ({i[k]},{j[k]}): {got[k]} vs {want[k]}")
+    return list(np.eye(rho.n, dtype=complex)), metric
 
 
 def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):

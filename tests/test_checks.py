@@ -306,6 +306,13 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="theta"):
             counterexample_p_lt_2(1.9, 1.0, theta=1.5)  # cos too small to violate
 
+    @pytest.mark.parametrize("e12", [np.inf, 1e300, 1e-300])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_floating_point_violation_raises(self, e12):
+        # E12^p overflows (margin nan) or underflows (margin 0): the triple shows no violation
+        with pytest.raises(ValueError, match="no violation"):
+            counterexample_p_lt_2(1.5, e12)
+
 
 class TestOrthonormalReduction:
     def test_canonical_subspace_reduces_to_entry_triangle(self):

@@ -256,6 +256,21 @@ class TestFuzz:
         printed = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert printed["witness"]["defect"] is None and printed["witness"] == doc["witness"]
 
+    @pytest.mark.parametrize("out", ["dir", "file/x.json"])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, out):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+        argv = ["fuzz", "--property", "triangle", "--n", "3", "--trials", "5", "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("prop", [["triangle"], {}, 5])
+    def test_config_property_of_wrong_type_exit_two(self, tmp_path, capsys, prop):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"property": prop, "n": 3, "trials": 5}))
+        assert main(["fuzz", "--config", str(cfg)]) == 2
+        assert "'property' must be str" in capsys.readouterr().err
+
     def test_byte_identical_reports_modulo_elapsed(self, files):
         out1 = str(files["tmp"] / "r1.json")
         out2 = str(files["tmp"] / "r2.json")
@@ -287,6 +302,13 @@ class TestCounterexample:
     def test_bad_theta_exit_two(self):
         assert main(["counterexample", "--p", "1.9", "--theta", "1.5"]) == 2
 
+    @pytest.mark.parametrize("e12", ["inf", "1e300", "1e-300"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_violation_exit_two(self, e12, capsys):
+        assert main(["counterexample", "--p", "1.5", "--e12", e12]) == 2
+        captured = capsys.readouterr()
+        assert "no violation" in captured.err and captured.out == ""
+
 
 class TestEmbed:
     def test_bundle_round_trips(self, files, capsys):
@@ -315,6 +337,19 @@ class TestEmbed:
     def test_invalid_metric_exit_one(self, files):
         assert main(["embed", files["broken"], "--p", "2", "--out", str(files["tmp"] / "y")]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_round_trip_exit_one(self, files, capsys):
+        out = files["tmp"] / "b600"
+        assert main(["embed", files["triple"], "--p", "600", "--out", str(out)]) == 1
+        assert "round-trip failed at (0,2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_existing_file_as_out_exit_two(self, files, capsys):
+        out = files["tmp"] / "taken"
+        out.write_text("")
+        assert main(["embed", files["triple"], "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, files):
@@ -325,6 +360,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "valid" in proc.stdout
+
+    def test_unwritable_out_exits_two_without_traceback(self, tmp_path):
+        # in-process main() cannot tell an escaped exception from a handled one
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqdist", "fuzz", "--property", "triangle", "--n", "3",
+             "--trials", "5", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as ex:

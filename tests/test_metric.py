@@ -297,6 +297,23 @@ class TestEmbed:
         with pytest.raises(ValueError, match="p >= 2"):
             embed(rho, 1.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 7.5])
+    def test_one_pass_values_are_dp_on_basis_pairs(self, n, p):
+        # embed checks (E_ij^p)^(1/p) in one pass; d_p on e_i, e_j must give those bits
+        for seed in range(5):
+            rho = DistanceMatrix.from_array(euclidean_matrix(np.random.default_rng(seed), n))
+            states, metric = embed(rho, p)
+            got = [d_p(metric, states[i], states[j]) for i in range(n) for j in range(i + 1, n)]
+            assert got == (pair_weights(rho.entries, p) ** (1.0 / p)).tolist()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_powers_fail_the_round_trip(self):
+        # 4^600 and 5^600 overflow; each d_p then sums inf * 0 = nan, which no comparison may pass
+        rho = DistanceMatrix.from_array([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+        with pytest.raises(ArithmeticError, match=r"\(0,2\): inf vs 4\.0$"):
+            embed(rho, 600.0)
+
 
 def restricted_form(e, p, v):
     """(mus, U, eigen-bivectors) of the restricted form over the orthonormal rows v (3, n), as a one-row stack."""
