@@ -73,6 +73,8 @@ def cmd_fuzz(args) -> int:
     base = fileio.load_object(args.config) if args.config else {}
     matrix = None
     if args.matrix:
+        if args.mode not in (None, "user-supplied"):
+            raise ValueError(f"--matrix runs in mode user-supplied and conflicts with --mode {args.mode}")
         matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix))
         if args.n is None:
             args.n = matrix.n

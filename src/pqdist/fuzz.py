@@ -197,13 +197,14 @@ def _finite_or_none(obj):
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Worker threads for chunk execution; PQDIST_THREADS caps the default."""
-    if explicit is not None:
-        return max(1, int(explicit))
+    """Worker threads for chunk execution; PQDIST_THREADS caps the default.  A count below 1 raises ValueError."""
     env = os.environ.get("PQDIST_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if explicit is None and not env:
+        return os.cpu_count() or 1
+    count, name = (int(explicit), "--threads/threads") if explicit is not None else (int(env), "PQDIST_THREADS")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 def _validate(prop: str, cfg: TrialConfig, matrix) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -116,49 +117,31 @@ def _raw_square_matrix(m) -> np.ndarray:
 def validate_distance_matrix(m) -> ValidationResult:
     """Check the metric axioms entry-wise, collecting witnesses.
 
-    A triangle counts as violated when it fails by more than ``TRIANGLE_SLACK``.
-    Malformed input (non-square, non-real, NaN/Inf) raises ValueError; axiom
-    failures are reported, capped at 100 witnesses per axiom.
+    The axioms form one table: each row holds a kind, its hits in
+    lexicographic order and the message of a hit.  Pairs are reported as
+    (i, j) with i < j, and a nonpositive entry below the diagonal as well
+    when it differs from its mirror; each row is capped at ``MAX_WITNESSES``
+    after that filter.  A triangle counts as violated when it fails by more
+    than ``TRIANGLE_SLACK`` (``_triangle_hits``).  Malformed input
+    (non-square, non-real, NaN/Inf) raises ValueError.
     """
     a = _raw_square_matrix(m)
-    n = a.shape[0]
-    violations: list[Violation] = []
-
-    bad = np.argwhere(a != a.T)
-    for i, j in bad[:MAX_WITNESSES]:
-        if i < j:
-            violations.append(
-                Violation(
-                    "asymmetric",
-                    (int(i), int(j)),
-                    f"E[{i},{j}]={float(a[i,j])!r} != E[{j},{i}]={float(a[j,i])!r}",
-                )
-            )
-    for i in np.nonzero(np.diag(a) != 0.0)[0][:MAX_WITNESSES]:
-        violations.append(Violation("nonzero-diagonal", (int(i),), f"E[{i},{i}]={float(a[i,i])!r} != 0"))
-    off = ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere(off & (a <= 0.0))[:MAX_WITNESSES]:
-        if i < j or a[i, j] != a[j, i]:
-            violations.append(
-                Violation("nonpositive-offdiagonal", (int(i), int(j)), f"E[{i},{j}]={float(a[i,j])!r} <= 0")
-            )
-
-    seen = set()
-    for i, j, k in _triangle_hits(a):
-        key = (min(i, k), int(j), max(i, k))
-        if key in seen:
-            continue
-        seen.add(key)
-        violations.append(
-            Violation(
-                "triangle",
-                (int(i), int(j), int(k)),
-                f"E[{i},{k}]={float(a[i,k])!r} > E[{i},{j}]+E[{j},{k}]={float(a[i,j]+a[j,k])!r}",
-            )
-        )
-        if len(seen) >= MAX_WITNESSES:
-            break
-
+    asymmetric, upper = a != a.T, np.triu(np.ones(a.shape, dtype=bool), 1)
+    axioms = (
+        ("asymmetric", np.argwhere(upper & asymmetric),
+         lambda i, j: f"E[{i},{j}]={float(a[i, j])!r} != E[{j},{i}]={float(a[j, i])!r}"),
+        ("nonzero-diagonal", np.argwhere(np.diag(a) != 0.0), lambda i: f"E[{i},{i}]={float(a[i, i])!r} != 0"),
+        # (upper | asymmetric) holds no diagonal entry: finite entries equal themselves
+        ("nonpositive-offdiagonal", np.argwhere((a <= 0.0) & (upper | asymmetric)),
+         lambda i, j: f"E[{i},{j}]={float(a[i, j])!r} <= 0"),
+        ("triangle", _triangle_hits(a),
+         lambda i, j, k: f"E[{i},{k}]={float(a[i, k])!r} > E[{i},{j}]+E[{j},{k}]={float(a[i, j] + a[j, k])!r}"),
+    )
+    violations = [
+        Violation(kind, ix, detail(*ix))
+        for kind, hits, detail in axioms
+        for ix in (tuple(map(int, hit)) for hit in islice(hits, MAX_WITNESSES))
+    ]
     if violations:
         return ValidationResult(False, violations, None)
     return ValidationResult(True, [], DistanceMatrix(a))
@@ -194,22 +177,24 @@ def _in_slices(kernel, width: int, *rows):
 
 
 def _triangle_hits(a: np.ndarray):
-    """Distinct (i, j, k) with E[i,k] > E[i,j] + E[j,k] + TRIANGLE_SLACK, in lexicographic order.
+    """(i, j, k), i < k and j apart from both, with E[i,k] - E[i,j] - E[j,k] > TRIANGLE_SLACK, lexicographically.
 
-    The n^3 defect cube is built over blocks of i, so memory stays
-    O(max(n^2, _BUDGET)); the scan stops when the caller stops iterating.
+    Each unordered triangle is tested once, by the expression its witness
+    message prints.  The scan reads a copy with a zero diagonal, so a triple
+    with j = i or j = k has defect exactly 0 (entries are finite) and the
+    diagonal is left to its own axiom.  The defect cube is built over blocks
+    of i, each covering only the columns after the block's first row, so
+    memory stays O(max(n^2, _BUDGET)); the scan stops when the caller stops
+    iterating.
     """
-    n = a.shape[0]
+    n, z = a.shape[0], a.copy()
+    np.fill_diagonal(z, 0.0)
     step = _slice_rows(n * n)
-    jj, kk = np.ogrid[:n, :n]
-    for start in range(0, n, step):
-        rows = a[start : start + step]
-        ii = np.arange(start, start + len(rows))[:, None, None]
-        # d(i,k) <= d(i,j) + d(j,k) for all j distinct from i, k
-        defect = rows[:, None, :] - rows[:, :, None] - a.T[None, :, :]
-        distinct = (ii != jj) & (jj != kk) & (ii != kk)
-        for i, j, k in np.argwhere(distinct & (defect > TRIANGLE_SLACK)):
-            yield i + start, j, k
+    for start in range(0, n - 1, step):
+        rows = z[start : start + step]
+        hits = np.argwhere(rows[:, None, start + 1 :] - rows[:, :, None] - z[:, start + 1 :] > TRIANGLE_SLACK)
+        for b, j, c in hits[hits[:, 0] <= hits[:, 2]]:  # k = start + 1 + c > i = start + b
+            yield start + b, j, start + 1 + c
 
 
 def shortest_path_closure(w) -> np.ndarray:
@@ -411,8 +396,9 @@ def embed(rho: DistanceMatrix, p: float):
         raise ValueError("embedding requires p >= 2; smaller p does not give a metric")
     metric = DpMetric(rho, p)
     want = pair_weights(rho.entries, 1.0)
-    got = pair_weights(rho.entries, p) ** (1.0 / p)
-    bad = np.flatnonzero(~(np.abs(got - want) <= 1e-12 * want))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite round trip fails below
+        got = pair_weights(rho.entries, p) ** (1.0 / p)
+        bad = np.flatnonzero(~(np.abs(got - want) <= 1e-12 * want))
     if bad.size:
         i, j = pair_indices(rho.n)
         k = bad[0]

@@ -281,6 +281,24 @@ class TestFuzz:
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert json.dumps(a) == json.dumps(b)
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_two(self, threads, capsys):
+        argv = ["fuzz", "--property", "triangle", "--n", "3", "--trials", "5", "--threads", threads]
+        assert main(argv) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_env_below_one_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("PQDIST_THREADS", "0")
+        assert main(["fuzz", "--property", "triangle", "--n", "3", "--trials", "5"]) == 2
+        assert "PQDIST_THREADS" in capsys.readouterr().err
+
+    def test_matrix_with_other_mode_exit_two(self, files, capsys):
+        argv = ["fuzz", "--property", "triangle", "--matrix", files["triple"], "--trials", "5"]
+        assert main(argv + ["--mode", "zero-one"]) == 2
+        err = capsys.readouterr().err
+        assert "--matrix" in err and "--mode zero-one" in err
+        assert main(argv + ["--mode", "user-supplied", "--out", str(files["tmp"] / "m.json")]) == 0
+
 
 class TestCounterexample:
     def test_quarter_margin_at_overridden_angle(self, capsys):
@@ -371,6 +389,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, code", [
+        (["embed", "MATRIX", "--p", "600", "--out", "OUT"], 1),
+        (["counterexample", "--p", "1.5", "--e12", "1e300"], 2),
+    ])
+    def test_overflow_failures_print_one_line(self, files, argv, code):
+        # numpy's overflow warning would repeat the reported failure
+        argv = [{"MATRIX": files["triple"], "OUT": str(files["tmp"] / "b600")}.get(a, a) for a in argv]
+        proc = subprocess.run([sys.executable, "-m", "pqdist", *argv], capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as ex:

@@ -81,6 +81,14 @@ class TestDeterminism:
         assert thread_count() >= 1
         assert thread_count(5) == 5
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_thread_count_below_one_raises(self, monkeypatch, bad):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            thread_count(bad)
+        monkeypatch.setenv("PQDIST_THREADS", str(bad))
+        with pytest.raises(ValueError, match="PQDIST_THREADS must be >= 1"):
+            thread_count()
+
     def test_different_seeds_differ(self):
         a = run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=1_000, seed=1))
         b = run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=1_000, seed=2))

@@ -120,6 +120,89 @@ class TestValidation:
         assert validate_distance_matrix(a).ok
 
 
+def scalar_violations(a, cap=100):
+    """Independent loop oracle of validate_distance_matrix: (kind, indices, detail) per witness.
+
+    Pairs are visited with i < j (a mirrored nonpositive entry too when it
+    differs from its partner), triangles with i < k and j apart from both.
+    """
+    e, n, out = np.asarray(a, dtype=float).tolist(), len(a), []
+
+    def take(kind, hits):
+        for count, (ix, detail) in enumerate(hits):
+            if count == cap:
+                return
+            out.append((kind, ix, detail))
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    take("asymmetric", (((i, j), f"E[{i},{j}]={e[i][j]!r} != E[{j},{i}]={e[j][i]!r}")
+                        for i, j in pairs if i < j and e[i][j] != e[j][i]))
+    take("nonzero-diagonal", (((i,), f"E[{i},{i}]={e[i][i]!r} != 0") for i in range(n) if e[i][i] != 0.0))
+    take("nonpositive-offdiagonal", (((i, j), f"E[{i},{j}]={e[i][j]!r} <= 0") for i, j in pairs
+                                     if e[i][j] <= 0.0 and (i < j or e[i][j] != e[j][i])))
+    take("triangle", (((i, j, k), f"E[{i},{k}]={e[i][k]!r} > E[{i},{j}]+E[{j},{k}]={e[i][j] + e[j][k]!r}")
+                      for i in range(n) for j in range(n) for k in range(i + 1, n)
+                      if j != i and j != k and e[i][k] - e[i][j] - e[j][k] > 1e-12))
+    return out
+
+
+def symmetric_matrix(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "euclidean":
+        return euclidean_matrix(rng, n)
+    if kind == "graded":
+        u = 10.0 ** rng.uniform(-3, 6, (n, n))
+    elif kind == "zero-one":
+        u = rng.integers(0, 2, (n, n)).astype(float)
+    else:  # near-equality: collinear points, some pairs moved by a few TRIANGLE_SLACKs
+        x = np.sort(rng.random(n))
+        u = np.abs(x[:, None] - x[None, :]) + rng.integers(-3, 4, (n, n)) * 0.5e-12 * (rng.random((n, n)) < 0.2)
+    u = np.triu(u, 1)
+    return u + u.T
+
+
+class TestValidationOracle:
+    @pytest.mark.parametrize("kind", ["euclidean", "graded", "zero-one", "near-equality"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 17, 40, 64])
+    def test_matches_scalar_loops(self, kind, n):
+        # at n = 64 a scan block holds 8 rows, so blocks start past row 0
+        a = symmetric_matrix(kind, n, seed=n)
+        result = validate_distance_matrix(a)
+        assert [(v.kind, v.indices, v.detail) for v in result.violations] == scalar_violations(a)
+        assert result.ok == (not result.violations)
+
+    def test_near_equality_straddles_the_slack(self):
+        a = symmetric_matrix("near-equality", 40, seed=40)
+        defect = a[:, None, :] - a[:, :, None] - a[None, :, :]  # E[i,k] - E[i,j] - E[j,k] at [i, j, k]
+        assert np.any((defect > 0) & (defect <= 1e-12)) and np.any(defect > 1e-12)
+        assert {v.kind for v in validate_distance_matrix(a).violations} == {"triangle"}
+
+    def test_asymmetric_pairs_cap_after_the_filter(self):
+        a = np.arange(1.0, 401.0).reshape(20, 20)  # E[i,j] != E[j,i] on all 190 pairs
+        np.fill_diagonal(a, 0.0)
+        asym = [v for v in validate_distance_matrix(a).violations if v.kind == "asymmetric"]
+        assert len(asym) == 100
+        assert [v.indices for v in asym] == [(i, j) for i in range(20) for j in range(i + 1, 20)][:100]
+
+    def test_nonpositive_pairs_cap_after_the_filter(self):
+        a = np.eye(20) - 1.0
+        result = validate_distance_matrix(a)
+        assert [v.kind for v in result.violations].count("nonpositive-offdiagonal") == 100
+
+    def test_triangle_messages_hold_on_asymmetric_input(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 9, 17):
+            a = rng.random((n, n)) * 3
+            np.fill_diagonal(a, 0.0)
+            tri = [v for v in validate_distance_matrix(a).violations if v.kind == "triangle"]
+            assert tri
+            for v in tri:
+                lhs, rhs = (float(side.split("=")[1]) for side in v.detail.split(" > "))
+                assert lhs > rhs, v.detail
+            want = [w for w in scalar_violations(a) if w[0] == "triangle"]
+            assert [(v.kind, v.indices, v.detail) for v in tri] == want
+
+
 class TestHilbertSchmidt:
     def test_pinned_values(self):
         e1, e2 = basis(3, 0), basis(3, 1)
