@@ -12,6 +12,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+
+import numpy as np
 
 from ._version import __version__
 from . import fileio
@@ -42,9 +45,11 @@ def cmd_validate(args) -> int:
 
 def cmd_dist(args) -> int:
     metric = DpMetric(DistanceMatrix.from_array(fileio.load_matrix(args.matrix)), args.p)
-    x = fileio.load_state(args.x)
-    y = fileio.load_state(args.y)
-    dist, hs = d_p(metric, x, y), d_hs(x, y)
+    x, y = fileio.load_state(args.x), fileio.load_state(args.y)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite distance fails below
+        dist, hs = d_p(metric, x, y), d_hs(x, y)
+    if not np.isfinite(dist):
+        return _fail(PROPERTY_FAILURE, f"d_p is {dist} at p={args.p:g}: E^p overflows double precision")
     if args.p < 2:
         print(f"warning: p={args.p:g} < 2 is not guaranteed to be a metric", file=sys.stderr)
     if args.format == "json":
@@ -57,32 +62,29 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def _config_from_args(args, base: dict) -> TrialConfig:
-    """TrialConfig from the config file's fields (``property`` aside), overridden by the flags given."""
-    flags = {"n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
-             "matrix_mode": args.mode, "tolerance": args.tolerance}
-    merged = {"p": 2.0, "trials": 1000, "seed": 0, **base}
+_FUZZ_DEFAULTS = {"p": 2.0, "trials": 1000, "seed": 0}  # beneath --matrix, the config file and the flags
+
+
+def _config_from_args(args, base: dict, implied: dict) -> TrialConfig:
+    """TrialConfig from the flags given over the config file (``property`` aside), ``implied`` and the defaults."""
+    flags = {f.name: getattr(args, f.name) for f in fields(TrialConfig) if getattr(args, f.name) is not None}
+    merged = {**_FUZZ_DEFAULTS, **implied, **base, **flags}
     merged.pop("property", None)
-    merged.update((k, v) for k, v in flags.items() if v is not None)
-    if merged.get("n") is None:
-        raise ValueError("the dimension --n is required (flag or config file)")
     return TrialConfig.from_dict(merged, args.config or "trial config")
 
 
 def cmd_fuzz(args) -> int:
     base = fileio.load_object(args.config) if args.config else {}
-    matrix = None
-    if args.matrix:
-        if args.mode not in (None, "user-supplied"):
-            raise ValueError(f"--matrix runs in mode user-supplied and conflicts with --mode {args.mode}")
-        matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix))
-        if args.n is None:
-            args.n = matrix.n
-        args.mode = "user-supplied"
-    cfg = _config_from_args(args, base)
+    matrix = DistanceMatrix.from_array(fileio.load_matrix(args.matrix)) if args.matrix else None
+    implied = {"n": matrix.n, "matrix_mode": "user-supplied"} if matrix is not None else {}
+    if args.n is None and base.get("n") is None and not implied:
+        raise ValueError("the dimension --n is required (flag or config file)")
+    cfg = _config_from_args(args, base, implied)
+    if matrix is not None and cfg.matrix_mode != "user-supplied":
+        raise ValueError(f"--matrix runs in mode user-supplied and conflicts with --mode {cfg.matrix_mode}")
     prop = args.property or fileio.get_field(base, "property", str, args.config, None)
     if prop is None:
-        return _fail(USAGE_ERROR, "--property is required")
+        raise ValueError("--property is required")
     report = run_fuzz(prop, cfg, matrix=matrix, threads=args.threads)
     doc = report.to_dict()
     if args.out:
@@ -181,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--p", type=float)
     p_fuzz.add_argument("--trials", type=int)
     p_fuzz.add_argument("--seed", type=int)
-    p_fuzz.add_argument("--mode", choices=MATRIX_MODES + ("user-supplied",))
+    p_fuzz.add_argument("--mode", dest="matrix_mode", choices=MATRIX_MODES + ("user-supplied",))
     p_fuzz.add_argument("--tolerance", type=float)
-    p_fuzz.add_argument("--matrix", help="fixed matrix file (sets mode=user-supplied)")
+    p_fuzz.add_argument("--matrix", help="fixed matrix file (implies its n and mode=user-supplied)")
     p_fuzz.add_argument("--config", help="JSON file with TrialConfig fields")
     p_fuzz.add_argument("--out", help="write the report JSON here instead of stdout")
     p_fuzz.add_argument("--threads", type=int, help="override PQDIST_THREADS")

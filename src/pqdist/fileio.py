@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import MISSING
 from itertools import chain
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 
-_REQUIRED = object()
 # JSON types accepted for each Python type a field converts to.
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,)}
 
@@ -48,14 +48,14 @@ def load_object(path) -> dict:
         return _object(json.load(fh), path)
 
 
-def get_field(doc: dict, key: str, kind: type, where, default=_REQUIRED):
+def get_field(doc: dict, key: str, kind: type, where, default=MISSING):
     """``doc[key]`` converted to ``kind`` (int, float, str or list), or ``default`` if absent.
 
-    A missing key without a default, or a value of another JSON type (a
-    boolean is not a number), raises ValueError naming ``where``.
+    A missing key whose default is ``dataclasses.MISSING``, or a value of another JSON type
+    (a boolean is not a number), raises ValueError naming ``where``.
     """
     if key not in doc:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ValueError(f"{where}: missing key {key!r}")
         return default
     value = doc[key]
@@ -65,10 +65,12 @@ def get_field(doc: dict, key: str, kind: type, where, default=_REQUIRED):
 
 
 def _number_rows(doc: dict, key: str, path) -> np.ndarray:
-    """``doc[key]`` as a float array; it must be a list of lists of numbers."""
+    """``doc[key]`` as a float array; it must be a list of equally long lists of numbers."""
     rows = get_field(doc, key, list, path)
     if not all(type(r) is list for r in rows) or not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         raise ValueError(f"{path}: key {key!r} must be a list of lists of numbers")
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(f"{path}: key {key!r} has rows of unequal length")
     return np.asarray(rows, dtype=float)
 
 
@@ -149,5 +151,4 @@ def write_report(path, report_dict: dict) -> None:
     _write_json(path, report_dict)
 
 
-def load_report(path) -> dict:
-    return load_object(path)
+load_report = load_object

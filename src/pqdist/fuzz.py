@@ -119,6 +119,14 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
+_KINDS = {"int": int, "float": float, "str": str}  # a field's kind by its annotation, a string here
+
+
+def _as_dict(obj) -> dict:
+    """Dataclass ``obj``'s fields in order, each number or string cast to its annotated kind."""
+    return {f.name: _KINDS.get(f.type, lambda v: v)(getattr(obj, f.name)) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     n: int
@@ -128,15 +136,7 @@ class TrialConfig:
     matrix_mode: str = "euclidean-points"
     tolerance: float = 1e-9
 
-    def to_dict(self) -> dict:
-        return {
-            "n": int(self.n),
-            "p": float(self.p),
-            "trials": int(self.trials),
-            "seed": int(self.seed),
-            "matrix_mode": self.matrix_mode,
-            "tolerance": float(self.tolerance),
-        }
+    to_dict = _as_dict
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "trial config") -> "TrialConfig":
@@ -144,14 +144,7 @@ class TrialConfig:
         unknown = sorted(set(_object(d, where)) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
-        return cls(
-            n=get_field(d, "n", int, where),
-            p=get_field(d, "p", float, where),
-            trials=get_field(d, "trials", int, where),
-            seed=get_field(d, "seed", int, where),
-            matrix_mode=get_field(d, "matrix_mode", str, where, cls.matrix_mode),
-            tolerance=get_field(d, "tolerance", float, where, cls.tolerance),
-        )
+        return cls(**{f.name: get_field(d, f.name, _KINDS[f.type], where, f.default) for f in fields(cls)})
 
 
 @dataclass
@@ -168,20 +161,10 @@ class VerificationReport:
     matrix: list | None = None  # echoed entries in user-supplied mode
 
     def to_dict(self) -> dict:
-        cfg = self.config.to_dict()
-        if self.matrix is not None:
-            cfg["matrix"] = self.matrix
-        return _finite_or_none({
-            "property": self.property,
-            "config": cfg,
-            "trials": int(self.trials),
-            "violations": int(self.violations),
-            "worst_defect": float(self.worst_defect),
-            "witness": self.witness,
-            "seed": int(self.seed),
-            "elapsed_ms": float(self.elapsed_ms),
-            "version": self.version,
-        })
+        doc = {**_as_dict(self), "config": self.config.to_dict()}
+        if (matrix := doc.pop("matrix")) is not None:
+            doc["config"]["matrix"] = matrix
+        return _finite_or_none(doc)
 
 
 def _finite_or_none(obj):
@@ -197,11 +180,15 @@ def _finite_or_none(obj):
 
 
 def thread_count(explicit: int | None = None) -> int:
-    """Worker threads for chunk execution; PQDIST_THREADS caps the default.  A count below 1 raises ValueError."""
+    """Chunk worker threads; PQDIST_THREADS caps the default.  Anything but an integer >= 1 raises ValueError."""
     env = os.environ.get("PQDIST_THREADS")
     if explicit is None and not env:
         return os.cpu_count() or 1
-    count, name = (int(explicit), "--threads/threads") if explicit is not None else (int(env), "PQDIST_THREADS")
+    value, name = (explicit, "--threads/threads") if explicit is not None else (env, "PQDIST_THREADS")
+    try:
+        count = int(value)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
     return count

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from pqdist import fileio
-from pqdist.cli import main
+from pqdist.cli import build_parser, main
+from pqdist.fuzz import TrialConfig
 
 
 @pytest.fixture
@@ -95,6 +98,21 @@ class TestDist:
         bad = tmp_path / "bad_state.json"
         bad.write_text(json.dumps({"n": 2, "amplitudes": [[1, 0], [1, 0]]}))
         assert main(["dist", files["valid"], str(bad), files["e2"]]) == 2
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_non_finite_distance_exit_one(self, files, capsys, fmt):
+        # 5^600 overflows, so d_p sums inf * 0 = nan although the true distance is 4
+        e3 = str(files["tmp"] / "e3.json")
+        fileio.save_state(e3, np.array([0, 0, 1], dtype=complex))
+        argv = ["dist", files["triple"], files["e1_3d"], e3, "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--p", "600"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "p=600" in err
+        assert main(argv + ["--p", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
 
 
 class TestMalformedInputFiles:
@@ -298,6 +316,50 @@ class TestFuzz:
         err = capsys.readouterr().err
         assert "--matrix" in err and "--mode zero-one" in err
         assert main(argv + ["--mode", "user-supplied", "--out", str(files["tmp"] / "m.json")]) == 0
+
+    def test_threads_env_not_an_integer_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("PQDIST_THREADS", "abc")
+        assert main(["fuzz", "--property", "triangle", "--n", "3", "--trials", "5"]) == 2
+        assert capsys.readouterr().err == "error: PQDIST_THREADS must be an integer >= 1, got 'abc'\n"
+
+    def write_config(self, files, doc):
+        path = files["tmp"] / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_config_n_other_than_matrix_size_exit_two(self, files, capsys):
+        # the config's n used to be overridden by the matrix size without a word
+        cfg = self.write_config(files, {"n": 5})
+        argv = ["fuzz", "--property", "triangle", "--matrix", files["triple"], "--config", cfg, "--trials", "5"]
+        assert main(argv) == 2
+        assert "matrix size 3 does not match n=5" in capsys.readouterr().err
+
+    def test_config_mode_other_than_user_supplied_exit_two(self, files, capsys):
+        # the config's matrix_mode used to be overridden by user-supplied without a word
+        cfg = self.write_config(files, {"matrix_mode": "zero-one"})
+        argv = ["fuzz", "--property", "triangle", "--matrix", files["triple"], "--config", cfg, "--trials", "5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--matrix" in err and "zero-one" in err
+
+    @pytest.mark.parametrize("doc", [{"n": 3}, {"matrix_mode": "user-supplied"}, {"n": 3, "seed": 9}])
+    def test_config_agreeing_with_matrix_gives_the_flag_only_report(self, files, doc):
+        flags = ["fuzz", "--property", "triangle", "--matrix", files["triple"], "--p", "3", "--trials", "700",
+                 "--seed", "9"]
+        bodies = []
+        for extra in ([], ["--config", self.write_config(files, doc)]):
+            out = str(files["tmp"] / "rep.json")
+            assert main(flags + extra + ["--out", out]) == 0
+            rep = fileio.load_report(out)
+            rep.pop("elapsed_ms")
+            bodies.append(json.dumps(rep))
+        assert bodies[0] == bodies[1]
+
+    def test_every_config_field_has_a_fuzz_flag(self):
+        # the CLI merge reads one args attribute per TrialConfig field
+        args = vars(build_parser().parse_args(["fuzz"]))
+        missing = [f.name for f in dataclasses.fields(TrialConfig) if f.name not in args]
+        assert missing == []
 
 
 class TestCounterexample:

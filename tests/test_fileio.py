@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pqdist import fileio
+from pqdist.fuzz import reevaluate_witness
 
 
 class TestMatrixFiles:
@@ -103,3 +104,28 @@ class TestReportFiles:
         json.dump(doc, streamed, indent=2, allow_nan=False)
         streamed.write("\n")
         assert path.read_bytes() == streamed.getvalue().encode("ascii")
+
+
+class TestRaggedRows:
+    """Rows of unequal length are rejected with the file and the key named, before numpy sees them."""
+
+    @pytest.mark.parametrize(
+        "load, doc, key",
+        [
+            (fileio.load_matrix, {"n": 2, "entries": [[0, 1], [1]]}, "entries"),
+            (fileio.load_state, {"n": 2, "amplitudes": [[1, 0], [0]]}, "amplitudes"),
+        ],
+        ids=["matrix", "state"],
+    )
+    def test_file_rows(self, tmp_path, load, doc, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}' has rows of unequal length") as ex:
+            load(path)
+        assert str(path) in str(ex.value)
+
+    def test_witness_matrix(self):
+        x = [[1.0, 0.0], [0.0, 0.0]]
+        witness = {"matrix": [[0, 1], [1]], "p": 2.0, "x": x, "y": x, "z": x}
+        with pytest.raises(ValueError, match="triangle witness: key 'matrix' has rows of unequal length"):
+            reevaluate_witness("triangle", witness)

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import subprocess
 import sys
@@ -87,6 +88,12 @@ class TestDeterminism:
             thread_count(bad)
         monkeypatch.setenv("PQDIST_THREADS", str(bad))
         with pytest.raises(ValueError, match="PQDIST_THREADS must be >= 1"):
+            thread_count()
+
+    @pytest.mark.parametrize("bad", ["abc", "1.5"])
+    def test_non_integer_env_names_the_variable(self, monkeypatch, bad):
+        monkeypatch.setenv("PQDIST_THREADS", bad)
+        with pytest.raises(ValueError, match=f"PQDIST_THREADS must be an integer >= 1, got '{bad}'"):
             thread_count()
 
     def test_different_seeds_differ(self):
@@ -525,6 +532,20 @@ class TestValidationErrors:
         for key in ("n", "p", "trials", "seed", "tolerance"):
             with pytest.raises(ValueError, match=f"'{key}' must be .*, got bool"):
                 TrialConfig.from_dict({**good, key: True})
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [TrialConfig(n=3, p=2.0, trials=10, seed=0),
+         TrialConfig(n=7, p=2.5, trials=1, seed=2**40, matrix_mode="zero-one", tolerance=1e-6)],
+        ids=["defaulted", "every-field"],
+    )
+    def test_config_dict_round_trip(self, cfg):
+        d = cfg.to_dict()
+        assert list(d) == ["n", "p", "trials", "seed", "matrix_mode", "tolerance"]
+        assert TrialConfig.from_dict(d) == cfg
+        # a key left out at its default reads back as that default
+        defaults = {f.name: f.default for f in dataclasses.fields(TrialConfig)}
+        assert TrialConfig.from_dict({k: v for k, v in d.items() if defaults[k] != v}) == cfg
 
     def test_matrix_mode_mismatches(self):
         m = DistanceMatrix.from_array([[0, 1], [1, 0]])
