@@ -1,18 +1,21 @@
 """Numerical search for triangle-inequality violations in dimension 3.
 
-For three weights (l1, l2, l3), the triangle defect  d(x,z) + d(y,z) - d(x,y)
-of d_p on the pair weights E_01 = l3, E_02 = l2, E_12 = l1 (so l_i weighs
-the i-th component of the cross product) is minimized over unit triples by
-multi-start projected gradient descent.  All restarts form one stacked
-iterate, and each keeps its own step length: a trial point is accepted on
-sufficient decrease (Armijo, f_new <= f - c1 * step * |g|^2), after which the
-step doubles up to a fixed multiple of the initial step; a rejected trial
-halves it.  A stopped restart leaves the stack after one more evaluation, of
-the trial point its last update made; after that it would only repeat a value
-that cannot beat the best.  When twice the largest weight is at most their
-sum the minimum is zero (attained at degenerate triples); when it exceeds the
-sum the canonical basis is already a witness, so the canonical permutations
-are seeded as the first restarts.
+For weights (l1, l2, l3), the triangle defect d(x,z) + d(y,z) - d(x,y) of d_p
+on the pair weights E_01 = l3, E_02 = l2, E_12 = l1 (l_i weighs the i-th
+component of the cross product) is minimized over unit triples by multi-start
+projected gradient descent.  All restarts form one stacked iterate, each with
+its own step: a trial point is accepted on sufficient decrease (Armijo, f_new
+<= f - c1 * step * |g|^2), which doubles the step up to a cap; a rejected
+trial halves it.  Every _STALL_WINDOW iterations, a restart whose gain over
+the window is below its gap to the best value seen stops (at that pace it
+cannot reach the best within one more window; the one at the best never
+stops).  That many halvings take any step below the smallest, so a running
+restart has accepted a step in each window.  Shorter windows (10-30) changed
+held-out results; horizons from 1/4 window to 200 iterations changed none.
+A stopped restart leaves the stack after one more evaluation.  When twice the
+largest weight is at most their sum the minimum is zero (at degenerate
+triples); above it the canonical basis is a witness, so the canonical
+permutations are seeded as the first restarts.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ _STEP0 = 0.2  # initial step of every restart
 _ARMIJO_C1 = 1e-4  # sufficient-decrease constant
 _STEP_GROWTH = 2.0  # step factor after an accepted trial
 _STEP_CAP = 4.0  # largest step, as a multiple of _STEP0
+_STALL_WINDOW = int(np.log2(_STEP_CAP * _STEP0 / _MIN_STEP)) + 1  # 47 halvings take any step below _MIN_STEP
 
 _SIGNS = np.array([1.0, 1.0, -1.0])  # of the pair terms (x,z), (y,z), (x,y) in the defect
 
@@ -52,6 +56,12 @@ def _squared_norms(g: np.ndarray) -> np.ndarray:
     """|g|^2 of each restart of a stack (3, r, n), added in the same order for every r (a one-call
     sum over axes (0, 2) coalesces the axes of a one-row stack and adds in another order)."""
     return (g.real**2 + g.imag**2).sum(axis=2).sum(axis=0)
+
+
+def _stalled(f: np.ndarray, f_before: np.ndarray, best: float) -> np.ndarray:
+    """Restarts whose gain since ``f_before >= f`` is below their gap to ``best``; never f <= best or f = inf."""
+    with np.errstate(invalid="ignore"):  # inf - inf: a restart that never had a finite value
+        return f - best > f_before - f
 
 
 def _defect_and_gradient(v: np.ndarray, wts: np.ndarray, inv_p: float):
@@ -95,7 +105,9 @@ def minimize_defect_n3(
     vector.  Each restart keeps its own step, from 0.2: a trial is accepted
     when its defect is finite and at most f - 1e-4 * step * |g|^2, which
     doubles the step up to 0.8; otherwise the step halves.  A restart stops
-    once an accepted step gains less than 1e-10 or its step falls below 1e-14.
+    once an accepted step gains less than 1e-10, its step falls below 1e-14, or
+    its gain over the last 47 iterations (checked every 47; 47 halvings take
+    0.8 below 1e-14) is below its gap to the best value seen.
     Restarts: the three canonical basis permutations plus Gaussian random
     triples.  Returns the smallest defect seen and its triple.
     """
@@ -125,7 +137,7 @@ def minimize_defect_n3(
     best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
     step = np.full(r, _STEP0)
     active = np.ones(r, dtype=bool)
-    it = 0
+    f_before, it = f, 0
     for it in range(1, iterations + 1):
         vn = _normalize_rows(v - step[:, None] * g)
         fn, gn = _defect_and_gradient(vn, wts, inv_p)
@@ -142,9 +154,12 @@ def minimize_defect_n3(
         step *= np.where(accept, _STEP_GROWTH, 0.5)
         np.minimum(step, _STEP_CAP * _STEP0, out=step)
         active &= step >= _MIN_STEP
+        if it % _STALL_WINDOW == 0:
+            active, f_before = active & ~_stalled(f, f_before, best_val), f
         if not active.any():
             break
         if not keep.all():
-            v, g, f, gsq, step, active = v[:, keep], g[:, keep], f[keep], gsq[keep], step[keep], active[keep]
+            v, g, f, f_before = v[:, keep], g[:, keep], f[keep], f_before[keep]
+            gsq, step, active = gsq[keep], step[keep], active[keep]
 
     return MinimizeResult(best_val, best_triple, it)

@@ -3,7 +3,7 @@ import pytest
 
 from pqdist.exterior import _interior_rows
 from pqdist.metric import _minor_sums, dp_from_weights, spectral_condition_n3
-from pqdist.optimize import _defect_and_gradient, _squared_norms, minimize_defect_n3
+from pqdist.optimize import _defect_and_gradient, _squared_norms, _stalled, minimize_defect_n3
 from pqdist.sampling import trial_rng
 
 
@@ -31,12 +31,16 @@ def reference_objective(v, wts, inv_p):
     return f, t[[3, 4, 0]] + t[[5, 2, 1]]
 
 
-def reference_minimize(lam, p, restarts, iterations, seed):
+def reference_minimize(lam, p, restarts, iterations, seed, stall_window=None):
     """The minimizer with every restart kept on the stack to the end.
 
     Stopped restarts are evaluated on every iteration and |g|^2 is recomputed
-    from g each time.  Returns the result and whether, on some iteration,
-    part of the restarts had stopped while the others went on.
+    from g each time.  With ``stall_window`` set, every that many iterations a
+    restart stops when its gain since the last check is below its distance to
+    the best value; without it, this is the loop before that rule, which kept
+    every restart to convergence or to its smallest step.  Returns the result,
+    whether on some iteration part of the restarts had stopped while the
+    others went on, and how many restarts the window rule stopped.
     """
     lam = np.asarray(lam, dtype=float)
     wts, inv_p, r = lam[[2, 1, 0]] ** p, 1.0 / p, restarts
@@ -50,7 +54,8 @@ def reference_minimize(lam, p, restarts, iterations, seed):
     i = int(np.argmin(f))
     best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
     step, active = np.full(r, 0.2), np.ones(r, dtype=bool)
-    iters_done, mixed = 0, False
+    checked = f.copy()
+    iters_done, mixed, stalled = 0, False, 0
     for it in range(iterations):
         iters_done = it + 1
         vn = v - step[:, None] * g
@@ -68,10 +73,35 @@ def reference_minimize(lam, p, restarts, iterations, seed):
         step = np.where(accept, np.minimum(step * 2.0, 0.8), step)
         step[~accept & active] *= 0.5
         active &= ~tiny & (step >= 1e-14)
+        if stall_window and iters_done % stall_window == 0:
+            for k in np.flatnonzero(active):
+                gain, distance = checked[k] - f[k], f[k] - best_val
+                if np.isfinite(f[k]) and distance > gain:
+                    active[k] = False
+                    stalled += 1
+            checked = f.copy()
         mixed |= 0 < active.sum() < r
         if not active.any():
             break
-    return best_val, best_triple, iters_done, mixed
+    return best_val, best_triple, iters_done, mixed, stalled
+
+
+def held_out_calls(count):
+    """``count`` violating and ``count`` satisfying weight triples, drawn as in
+    acceptance criterion 3 but from their own stream, with restart seeds."""
+    rng = trial_rng(13, 3)
+    calls = []
+    for case in range(count):
+        p = float(rng.choice([2.0, 2.5, 3.0, 5.0]))
+        lam = rng.uniform(0.2, 2.0, 3)
+        k = int(rng.integers(3))
+        lam[k] = (lam.sum() - lam[k]) * (1.0 + rng.uniform(0.1, 1.0))
+        calls.append((lam, p, case))
+        lam = rng.uniform(0.2, 2.0, 3)
+        while 2 * lam.max() > lam.sum():
+            lam = rng.uniform(0.2, 2.0, 3)
+        calls.append((lam, p, 1000 + case))
+    return calls
 
 
 class TestMinimizer:
@@ -138,17 +168,57 @@ class TestMinimizer:
             sat = rng.uniform(0.2, 2.0, 3)
         vio = rng.uniform(0.2, 2.0, 3)
         vio[0] = (vio[1] + vio[2]) * rng.uniform(1.1, 2.0)
-        mixed = []
+        mixed, stalled = [], 0
         for lam, iterations in ((sat, 300), (vio, 300), (sat, 12)):
             seed = int(rng.integers(1 << 31))
-            want_val, want_triple, want_iters, was_mixed = reference_minimize(lam, p, 16, iterations, seed)
+            # 47 = 1 + floor(log2(0.8 / 1e-14)): that many halvings take the largest step below the smallest
+            want = reference_minimize(lam, p, 16, iterations, seed, stall_window=47)
+            want_val, want_triple, want_iters, was_mixed, n_stalled = want
             res = minimize_defect_n3(lam, p, restarts=16, iterations=iterations, seed=seed)
             assert res.min_defect == want_val
             assert res.iterations == want_iters
             assert all(np.array_equal(u, w) for u, w in zip(res.triple, want_triple))
             mixed.append(was_mixed)
+            stalled += n_stalled
         assert res.iterations == 12  # the last call stops at its cap
         assert any(mixed)  # some restarts stopped while others went on
+        assert stalled > 0  # and the window rule stopped some of them
+
+    def test_stall_rule_keeps_the_minima_of_the_loop_without_it(self):
+        # held-out inputs: not the criterion-3 draws nor the benchmark's; two of
+        # these eight calls run to the 2000-iteration cap without the rule
+        iterations, oracle_iterations, capped = 0, 0, 0
+        for lam, p, seed in held_out_calls(4):
+            want_val, want_triple, want_iters, _, _ = reference_minimize(lam, p, 64, 2000, seed)
+            res = minimize_defect_n3(lam, p, seed=seed)
+            assert res.min_defect == want_val
+            assert all(np.array_equal(u, w) for u, w in zip(res.triple, want_triple))
+            iterations += res.iterations
+            oracle_iterations += want_iters
+            capped += want_iters == 2000
+        assert capped >= 2
+        assert iterations <= 0.6 * oracle_iterations
+
+
+class TestStallRule:
+    def test_never_stops_a_restart_at_or_below_the_best(self):
+        f = np.array([-1.0, -1.0, -2.0])
+        f_before = np.array([-1.0, 5.0, -2.0])  # no gain, some, none
+        assert not _stalled(f, f_before, -1.0).any()
+        assert not _stalled(f, f_before, 0.0).any()
+
+    def test_never_stops_a_restart_without_a_finite_value(self):
+        f = np.array([np.inf, np.inf])
+        f_before = np.array([np.inf, np.inf])
+        assert not _stalled(f, f_before, -1.0).any()
+        assert not _stalled(np.array([1.0]), np.array([np.inf]), -1.0).any()  # first finite value
+
+    def test_stops_a_restart_whose_gain_falls_short_of_its_distance(self):
+        best = 0.5
+        f = np.array([1.0, 1.0, 1.0, 1.0 + 1e-9, 3.0])
+        f_before = np.array([1.5, 1.5 + 1e-12, 1.25, 1.0 + 1e-9, 3.0])
+        # gains 0.5, just over 0.5, 0.25, 0, 0 against distances 0.5, 0.5, 0.5, 0.5 + 1e-9, 2.5
+        assert _stalled(f, f_before, best).tolist() == [False, False, True, True, True]
 
 
 class TestObjective:
