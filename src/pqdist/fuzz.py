@@ -206,8 +206,8 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
     _check_exponent(cfg.p)
     if cfg.n < _TABLE[prop].min_n:
         raise ValueError(f"property {prop!r} needs dimension >= {_TABLE[prop].min_n}")
-    if prop == "convexity" and cfg.p < 2:
-        raise ValueError("convexity fuzzing uses powersum in its concave regime, p >= 2")
+    if prop == "convexity":  # its shapes include powersum, which needs p >= 2
+        _check_shape("powersum", cfg.p)
     if matrix is not None:
         if not _TABLE[prop].reads_matrix:
             raise ValueError(f"property {prop!r} reads no distance matrix, so a fixed one would be ignored")
@@ -271,16 +271,16 @@ def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
 _SCREEN_MIN_PAIRS = 36
 
 
-def _triangle_candidates(cfg: TrialConfig, entries, mats, variants, ok):
+def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
     """(rows, violations): the rows the exact kernel must evaluate, and the violations decided without it.
 
     Every row gets a certified interval around the defect the exact kernel
     would give it (``metric._minor_sum_bounds``, ``checks._triangle_bounds``),
-    the smaller of its raw and orthonormal variants.  A row can hold the
-    chunk's worst defect only if its lower end is at most the smallest upper
-    end, and its verdict is open only if its interval straddles -tolerance;
-    those rows and every row with a non-finite end are candidates.  Of the
-    others, the rows whose upper end is below -tolerance are violations.
+    the smallest over its ``variants`` (``_triangle_variants``).  A row can
+    hold the chunk's worst defect only if its lower end is at most the
+    smallest upper end, and its verdict is open only if its interval straddles
+    -tolerance; those rows and every row with a non-finite end are candidates.
+    Of the others, the rows whose upper end is below -tolerance are violations.
     """
     n, p, tol = cfg.n, cfg.p, cfg.tolerance
     count, width = len(mats), 9 * len(variants) * n  # (a, Re c, Im c) rows per pair
@@ -298,12 +298,7 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants, ok):
         else:
             lo, hi = _in_slices(partial(bounds, entries**p), width, *states)
         lo, hi = _triangle_bounds(lo.reshape(count, -1, 3), hi.reshape(count, -1, 3), p)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    if ok is not None:  # a degenerate orthonormal variant has defect +inf
-        lo[:, 1] = np.where(ok, lo[:, 1], np.inf)
-        hi[:, 1] = np.where(ok, hi[:, 1], np.inf)
-        finite[:, 1] |= ~ok
-    finite = finite.all(axis=1)
+    finite = (np.isfinite(lo) & np.isfinite(hi)).all(axis=1)
     lo, hi = lo.min(axis=1), hi.min(axis=1)
     top = np.min(np.where(finite, hi, np.inf))
     open_ = ~finite | (lo <= top) | ((lo < -tol) & (hi >= -tol))
@@ -314,48 +309,43 @@ def _triangle_defect(slack, dmax):
     return slack / np.maximum(1.0, dmax)
 
 
+def _triangle_variants(x, y, z) -> list:
+    """The raw triples and, from n = 3 on, their Gram-Schmidt orthonormalization.  On a degenerate
+    row (a residual below 1e-8) the orthonormal variant is the raw triple, so the raw one decides it."""
+    if x.shape[1] < 3:
+        return [(x, y, z)]
+    u, v, w, ok = _orthonormalize_triples(x, y, z)
+    bad = np.flatnonzero(~ok)  # almost always empty; a masked copy of all rows slowed n >= 32 by 3-5%
+    u[bad], v[bad], w[bad] = x[bad], y[bad], z[bad]
+    return [(x, y, z), (u, v, w)]
+
+
 def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     n, p = cfg.n, cfg.p
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
-    variants, ok = [(x, y, z)], None
-    if n >= 3:
-        u, v, w, ok = _orthonormalize_triples(x, y, z)
-        variants.append((u, v, w))
+    variants = _triangle_variants(x, y, z)
     rows, screened = slice(None), 0
     if math.comb(n, 2) >= _SCREEN_MIN_PAIRS:
-        rows, screened = _triangle_candidates(cfg, entries, mats, variants, ok)
+        rows, screened = _triangle_candidates(cfg, entries, mats, variants)
     wts = pair_weights(mats[rows], p)
 
     def kernel(wt, a, b, c):
-        return _triangle_rows(wt, p, a, b, c)
-
-    def norm_defect(a, b, c):
-        slack, dmax, d = _in_slices(kernel, math.comb(n, 2), wts, a[rows], b[rows], c[rows])
+        slack, dmax, d = _triangle_rows(wt, p, a, b, c)
         return _triangle_defect(slack, dmax), d
 
-    defect, raw_d = norm_defect(x, y, z)
-    variant_ortho = np.zeros(len(defect), dtype=bool)
-    if ok is not None:
-        defect_o, ortho_d = norm_defect(u, v, w)
-        defect_o = np.where(ok[rows], defect_o, np.inf)
-        variant_ortho = defect_o < defect
-        defect = np.minimum(defect, defect_o)
-
-    violations, sub, worst, _ = _worst(cfg, chunk, defect)
+    defects, dists = zip(*[_in_slices(kernel, math.comb(n, 2), wts, *(s[rows] for s in v)) for v in variants])
+    violations, sub, worst, _ = _worst(cfg, chunk, np.minimum.reduce(defects))
+    k = min(range(len(variants)), key=lambda i: defects[i][sub])  # raw on a tie or a NaN
     local = int(np.arange(count)[rows][sub])
     trial = chunk * CHUNK_TRIALS + local
-    if variant_ortho[sub]:
-        states, dists, variant = (u, v, w), ortho_d, "orthonormal"
-    else:
-        states, dists, variant = (x, y, z), raw_d, "raw"
     witness = {
         "trial": trial,
-        "variant": variant,
+        "variant": ("raw", "orthonormal")[k],
         "n": n,
         "p": float(p),
         "matrix": _m2l(mats[local]),
-        **_xyz(states, local),
-        "distances": [float(d) for d in dists[sub]],
+        **_xyz(variants[k], local),
+        "distances": [float(d) for d in dists[k][sub]],
         "defect": worst,
     }
     return _ChunkOutcome(screened + violations, worst, trial, witness)

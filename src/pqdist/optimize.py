@@ -132,7 +132,6 @@ def minimize_defect_n3(
         v[k, 3:] = rng.standard_normal((r - 3, 3)) + 1j * rng.standard_normal((r - 3, 3))
     v = _normalize_rows(v)
     f, g = _defect_and_gradient(v, wts, inv_p)
-    gsq = _squared_norms(g)
     i = int(np.argmin(f))
     best_val, best_triple = float(f[i]), tuple(v[:, i].copy())
     step = np.full(r, _STEP0)
@@ -145,10 +144,9 @@ def minimize_defect_n3(
             i = int(np.argmin(fn))
             best_val, best_triple = float(fn[i]), tuple(vn[:, i].copy())
         keep = active  # inactive rows stopped on the last iteration and leave below
-        accept = keep & (fn < np.inf) & (fn <= f - _ARMIJO_C1 * step * gsq)
+        accept = keep & (fn < np.inf) & (fn <= f - _ARMIJO_C1 * step * _squared_norms(g))
         np.copyto(v, vn, where=accept[:, None])
         np.copyto(g, gn, where=accept[:, None])
-        gsq = np.where(accept, _squared_norms(gn), gsq)
         active = keep & ~(accept & (f - fn < _CONVERGED_TOL))
         f = np.where(accept, fn, f)
         step *= np.where(accept, _STEP_GROWTH, 0.5)
@@ -159,7 +157,6 @@ def minimize_defect_n3(
         if not active.any():
             break
         if not keep.all():
-            v, g, f, f_before = v[:, keep], g[:, keep], f[keep], f_before[keep]
-            gsq, step, active = gsq[keep], step[keep], active[keep]
+            v, g, f, f_before, step, active = v[:, keep], g[:, keep], f[keep], f_before[keep], step[keep], active[keep]
 
     return MinimizeResult(best_val, best_triple, it)

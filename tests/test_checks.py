@@ -6,9 +6,11 @@ import pytest
 from conftest import basis, interior_product
 from pqdist.exterior import Bivector, wedge2, wedge3
 from pqdist.fileio import _l2c
-from pqdist.fuzz import TrialConfig, reevaluate_witness, run_fuzz
+from pqdist.fuzz import TrialConfig, _reduction_defect, reevaluate_witness, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
+    HODGE_RESIDUAL_TOL,
+    MU_CONSISTENCY_TOL,
     _convexity_rows,
     _minorial_rows,
     _projector_rows,
@@ -369,6 +371,28 @@ class TestOrthonormalReduction:
         assert rows[4].tolist() == [True, False]
         rep = _reduction_report(rows, 1, 1e-9)
         assert rep.spectral_ok and not rep.subspace_fuzz_ok and not rep.verdict
+
+    def test_disagreeing_verdicts_are_violations(self):
+        # the reduction's cross-check: where the spectral condition and the subspace samples
+        # disagree, the defect is a violation by at least 2 tol, whatever the residuals say
+        tol = 1e-9
+        e = np.array([[0, 1.0, 0.9], [1.0, 0, 0.6], [0.9, 0.6, 0]])
+        wts = np.repeat(pair_weights(e, 2.0)[None], 2, axis=0)
+        x, y, z = (np.repeat(basis(3, k)[None], 2, axis=0) for k in range(3))
+        draws = _subspace_draws(3, [0, 1], 16)
+        draws[1, 5, :, :, 2] = draws[1, 5, :, :, 0]  # the degenerate frame: a sample fails
+        _, hodge, mu, margin, ok = _reduction_rows(wts, 2.0, x, y, z, draws, tol)
+        assert (margin >= -tol).all() and ok.tolist() == [True, False]
+        # hand-made rows: a margin below -tol while every sample passes (disagrees), and
+        # the same margin with a failed sample (agrees)
+        hodge, mu = np.append(hodge, [0.0, 0.0]), np.append(mu, [0.0, 0.0])
+        margin, ok = np.append(margin, [-1.5 * tol, -1.5 * tol]), np.append(ok, [True, False])
+        d = _reduction_defect(hodge, mu, margin, ok, tol)
+        assert d[1] <= -2 * tol and d[2] <= -2 * tol
+        residual = np.maximum(hodge / HODGE_RESIDUAL_TOL, mu / MU_CONSISTENCY_TOL)
+        agree = [0, 3]
+        assert d[agree].tolist() == np.minimum(margin, -tol * residual)[agree].tolist()
+        assert d[0] >= -tol and d[3] == -1.5 * tol
 
     @pytest.mark.parametrize(
         "seed,p",

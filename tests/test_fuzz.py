@@ -426,6 +426,9 @@ _SCREEN_CASES = [
     (9, 20.0, True, True),
 ]
 
+# n from 3 to 8, below the screen: drawn and fixed matrices, with and without overflow
+_UNSCREENED_CASES = [(3, 1.5, False, False), (4, 2.0, True, True), (6, 10.0, True, False), (8, 2.5, False, True)]
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing rows
 class TestTriangleScreen:
@@ -444,13 +447,31 @@ class TestTriangleScreen:
         violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
         assert (got.violations, got.trial) == (violations, trial)
         assert json.dumps([got.worst, got.witness]) == json.dumps([worst, witness])
-        u, v, w, ok = _orthonormalize_triples(x, y, z)
-        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, [(x, y, z), (u, v, w)], ok)
+        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
         assert set(rows) >= {trial}
         if p < 2:  # two-coordinate triples break the inequality, most decided by the screen alone
             assert violations >= 40 and screened > violations // 2
         if huge:
             assert np.isnan(worst) and violations > 0
+
+    @pytest.mark.parametrize("n,p,huge,fixed", _UNSCREENED_CASES)
+    def test_unscreened_chunk_equals_exact_kernel_on_every_row(self, monkeypatch, n, p, huge, fixed):
+        # below the screen every row runs the exact kernel on both variants; repeated and parallel
+        # states leave degenerate orthonormal variants, which must decide nothing
+        assert 3 <= n and n * (n - 1) // 2 < fuzz._SCREEN_MIN_PAIRS
+        count = 320
+        mats, x, y, z = _adversarial_rows(n, count, seed=n + int(p), huge=huge, planar=2 if p < 2 else 8)
+        assert not _orthonormalize_triples(x, y, z)[3].all()
+        entries = None
+        if fixed:
+            entries = mats[5] if huge else mats[1]
+            mats = np.broadcast_to(entries, mats.shape)
+        cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
+        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
+        got = fuzz._chunk_triangle(cfg, entries, 0, count)
+        violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
+        assert (got.violations, got.trial) == (violations, trial)
+        assert json.dumps([got.worst, got.witness]) == json.dumps([worst, witness])
 
     @pytest.mark.parametrize(
         "cfg,fixed",
@@ -463,8 +484,7 @@ class TestTriangleScreen:
     def test_random_chunk_leaves_one_candidate(self, cfg, fixed):
         entries = np.asarray(_adversarial_rows(cfg.n, 2, seed=4)[0][1]) if fixed else None
         mats, x, y, z = fuzz._matrix_triple_batch(cfg, entries, 0, cfg.trials)
-        u, v, w, ok = _orthonormalize_triples(x, y, z)
-        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, [(x, y, z), (u, v, w)], ok)
+        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
         assert len(rows) == 1 and screened == 0
 
     @pytest.mark.parametrize("n,p,huge,fixed", _SCREEN_CASES)
