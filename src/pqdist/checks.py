@@ -42,7 +42,7 @@ from .metric import (
     _restricted_form_rows,
     dp_from_weights,
 )
-from .sampling import _orthonormalize_triples, _philox_key, trial_rng
+from .sampling import CHUNK_TRIALS, _orthonormalize_triples, trial_rng
 
 __all__ = [
     "CONVEXITY_SHAPES",
@@ -318,6 +318,7 @@ def check_orthonormal_reduction(
     *,
     inner_seed: int = 0,
     inner_stream: int = 0,
+    inner_row: int = 0,
     tol: float = 1e-9,
 ) -> ReductionReport:
     """Cross-validate the reduction of arbitrary triples to orthonormal ones.
@@ -330,30 +331,20 @@ def check_orthonormal_reduction(
     * mu-consistency: the weighted norms of the frame wedges reproduce mu;
     * equivalence: 2 max mu^(2/p) <= sum mu^(2/p) agrees with direct triangle
       checks over ``SUBSPACE_SAMPLES`` random orthonormal triples drawn inside
-      V from the stream ``trial_rng(inner_seed, inner_stream)``.
+      V.  Their Gaussian parts are row ``inner_row`` of a block of
+      (``SUBSPACE_SAMPLES``, 2, 3, 3) rows drawn in one call from
+      ``trial_rng(inner_seed, inner_stream)``, as a reduction campaign draws
+      a chunk's, so a witness's ``(inner_seed, inner_stream, inner_row)``
+      replays its trial.  ``inner_row`` must be an integer in
+      ``range(CHUNK_TRIALS)``; a block of ``inner_row + 1`` rows is drawn.
     """
     wts, xv, yv, zv = _dp_inputs(e.entries if isinstance(e, DistanceMatrix) else e, p, x, y, z)
     if xv.size < 3:
         raise ValueError(f"cannot span 3 dimensions inside C^{xv.size}")
-    draws = _subspace_draws(inner_seed, [inner_stream], SUBSPACE_SAMPLES)
-    return _reduction_report(_reduction_rows(wts[None], p, xv[None], yv[None], zv[None], draws, tol), 0, tol)
-
-
-def _subspace_draws(seed: int, streams, samples: int) -> np.ndarray:
-    """Gaussian (re, im) parts of each stream's subspace samples: (len(streams), samples, 2, 3, 3).
-
-    Row r holds the values of ``samples`` sequential (re, im) pairs of (3, 3)
-    draws from ``trial_rng(seed, streams[r])``.  One generator draws every
-    row: re-keying it costs a fraction of building a fresh one.
-    """
-    out = np.empty((len(streams), samples, 2, 3, 3))
-    rng = trial_rng(seed)
-    fresh = rng.bit_generator.state  # counter zero, buffer empty
-    for row, stream in zip(out, streams):
-        fresh["state"]["key"] = _philox_key(seed, int(stream))
-        rng.bit_generator.state = fresh
-        rng.standard_normal(out=row)
-    return out
+    if type(inner_row) is bool or not isinstance(inner_row, (int, np.integer)) or not 0 <= inner_row < CHUNK_TRIALS:
+        raise ValueError(f"inner_row must be an integer in [0, {CHUNK_TRIALS}), got {inner_row!r}")
+    draws = trial_rng(inner_seed, inner_stream).standard_normal((inner_row + 1, SUBSPACE_SAMPLES, 2, 3, 3))
+    return _reduction_report(_reduction_rows(wts[None], p, xv[None], yv[None], zv[None], draws[-1:], tol), 0, tol)
 
 
 def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: float):

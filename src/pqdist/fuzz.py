@@ -1,9 +1,10 @@
 """Seeded fuzz campaigns over the metric and minor inequalities.
 
 A 512-trial draw block (``CHUNK_TRIALS``) is the stream key: block c draws
-all its randomness from an independent Philox stream keyed (seed, c), and is
-the unit handed to a worker thread, so campaigns are bit-reproducible for a
-fixed seed regardless of how many threads run the blocks.  Aggregation keeps
+all its randomness from independent Philox streams keyed (seed, c) and, for
+the reduction's subspace samples, (seed, 2^32 + c).  It is the unit handed
+to a worker thread, so campaigns are bit-reproducible for a fixed seed
+regardless of how many threads run the blocks.  Aggregation keeps
 the violation count and the worst defect with the smallest trial index, both
 of which are order-independent reductions.
 
@@ -61,7 +62,6 @@ from .checks import (
     _projector_rows,
     _reduction_report,
     _reduction_rows,
-    _subspace_draws,
     _triangle_bounds,
     _triangle_rows,
     _w1_rows,
@@ -74,6 +74,7 @@ from .exterior import Bivector, pair_indices
 from .fileio import _c2l, _complex_rows, _m2l, _number_rows, _object, get_field
 from .metric import DistanceMatrix, _check_exponent, _in_slices, _minor_sum_bounds, pair_weights
 from .sampling import (
+    CHUNK_TRIALS,
     MATRIX_MODES,
     _orthonormalize_triples,
     _symmetric_from_pairs,
@@ -93,10 +94,8 @@ __all__ = [
     "thread_count",
 ]
 
-CHUNK_TRIALS = 512
-
-# Streams below this base index belong to chunk sampling; the reduction
-# property derives one extra inner stream per trial above it.
+# Streams below this base index belong to chunk sampling; a reduction chunk c
+# draws all its trials' subspace samples in one call from stream base + c.
 _REDUCTION_STREAM_BASE = 1 << 32
 
 
@@ -442,8 +441,8 @@ def _reduction_defect(hodge_residual, mu_residual, spectral_margin, fuzz_ok, tol
 
 def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
-    streams = _REDUCTION_STREAM_BASE + chunk * CHUNK_TRIALS + np.arange(count)
-    draws = _subspace_draws(cfg.seed, streams, SUBSPACE_SAMPLES)
+    stream = _REDUCTION_STREAM_BASE + chunk
+    draws = trial_rng(cfg.seed, stream).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
 
     def kernel(wts, x, y, z, draws):
         return _reduction_rows(wts, cfg.p, x, y, z, draws, cfg.tolerance)
@@ -456,7 +455,8 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
         "matrix": _m2l(mats[local]),
         **_xyz((x, y, z), local),
         "inner_seed": int(cfg.seed),
-        "inner_stream": _REDUCTION_STREAM_BASE + trial,
+        "inner_stream": stream,
+        "inner_row": local,
         "tolerance": float(cfg.tolerance),
         "hodge_residual": rep.hodge_residual,
         "mu_residual": rep.mu_residual,
@@ -470,7 +470,8 @@ def _replay_reduction(w: dict, where: str):
     e, p = _number_rows(w, "matrix", where), get_field(w, "p", float, where)
     tol = get_field(w, "tolerance", float, where)
     stream = {k: get_field(w, k, int, where) for k in ("inner_seed", "inner_stream")}
-    r = check_orthonormal_reduction(e, p, x, y, z, **stream, tol=tol)
+    row = get_field(w, "inner_row", int, where, 0)  # absent in witnesses drawn one stream per trial
+    r = check_orthonormal_reduction(e, p, x, y, z, **stream, inner_row=row, tol=tol)
     return _reduction_defect(r.hodge_residual, r.mu_residual, r.spectral_margin, r.subspace_fuzz_ok, tol)
 
 

@@ -1,6 +1,11 @@
 """Regenerate ``tests/golden_reports.json``, the fixed-seed report corpus.
 
     PYTHONPATH=src python3 tests/make_golden_reports.py
+    PYTHONPATH=src python3 tests/make_golden_reports.py --check
+
+``--check`` recomputes the corpus in memory and writes nothing: it prints the
+property and config of every entry whose digest changed, added or removed,
+with the digest keys that moved, and exits 1 if any did.
 
 Every campaign runs on one thread (thread invariance has its own tests).  An
 entry keeps the campaign's inputs and, of its report, the sha256 of the body
@@ -13,6 +18,7 @@ with it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -55,6 +61,8 @@ def campaigns() -> list[dict]:
         for i, n in enumerate((3, 4, 5, 6, 9, 16)):
             trials = 700 if n < 9 else 520
             add(prop, n, ps[i % len(ps)], trials, _MODES[i % 3])
+    # two full chunks and a partial one, whose trial 1069 (chunk 2, row 45) is the witness
+    add("reduction", 4, 3.0, 1200, "repaired-random")
     return out
 
 
@@ -63,6 +71,9 @@ def run(entry: dict):
     cfg = TrialConfig.from_dict(entry["config"])
     matrix = DistanceMatrix.from_array(entry["matrix"]) if entry["matrix"] is not None else None
     return run_fuzz(entry["property"], cfg, matrix=matrix, threads=1)
+
+
+_DIGEST_KEYS = ("sha256", "violations", "trial", "worst_defect")
 
 
 def digest(report) -> dict:
@@ -81,12 +92,39 @@ def environment() -> dict:
     return {"numpy": np.__version__, "machine": platform.machine()}
 
 
-def main() -> None:
+def check(entries: list[dict]) -> int:
+    """Print each campaign whose digest differs from the stored corpus's, or that only one side
+    holds, with the digest keys that moved; 1 if any does, else 0."""
+
+    def key(e):
+        return json.dumps([e["property"], e["config"], e["matrix"]])
+
+    stored = {key(e): e for e in json.loads(CORPUS.read_text())["campaigns"]}
+    fresh = {key(e): e for e in entries}
+    changed = 0
+    for k in dict.fromkeys([*stored, *fresh]):
+        want, got = stored.get(k), fresh.get(k)
+        moved = [d for d in _DIGEST_KEYS if want is None or got is None or want[d] != got[d]]
+        if moved:
+            changed += 1
+            state = "added" if want is None else "removed" if got is None else "changed"
+            print(f"{state} {(got or want)['property']} {json.dumps((got or want)['config'])}: {', '.join(moved)}")
+    print(f"{CORPUS}: {changed} of {len(fresh)} campaigns differ from the stored corpus")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="compare with the stored corpus; write nothing")
+    args = parser.parse_args(argv)
     entries = [{**entry, **digest(run(entry))} for entry in campaigns()]
+    if args.check:
+        return check(entries)
     doc = {**environment(), "campaigns": entries}
     CORPUS.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     print(f"{CORPUS}: {len(entries)} campaigns, {sum(e['violations'] > 0 for e in entries)} with violations")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

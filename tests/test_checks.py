@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -6,17 +7,17 @@ import pytest
 from conftest import basis, interior_product
 from pqdist.exterior import Bivector, wedge2, wedge3
 from pqdist.fileio import _l2c
-from pqdist.fuzz import TrialConfig, _reduction_defect, reevaluate_witness, run_fuzz
+from pqdist.fuzz import _REDUCTION_STREAM_BASE, TrialConfig, _reduction_defect, reevaluate_witness, run_fuzz
 from pqdist.metric import dp_from_weights, pair_weights
 from pqdist.checks import (
     HODGE_RESIDUAL_TOL,
     MU_CONSISTENCY_TOL,
+    SUBSPACE_SAMPLES,
     _convexity_rows,
     _minorial_rows,
     _projector_rows,
     _reduction_report,
     _reduction_rows,
-    _subspace_draws,
     _triangle_rows,
     _w1_rows,
     check_convexity,
@@ -39,6 +40,18 @@ from pqdist.sampling import (
     states_batch,
     trial_rng,
 )
+
+
+def _violating_n3(rng, count):
+    """``count`` n=3 weight systems that break the spectral condition, drawn as in acceptance
+    criterion 3: one entry pushed 10-100% past the sum of the other two (no metric)."""
+    lam = rng.uniform(0.2, 2.0, (count, 3))
+    k, rows = rng.integers(3, size=count), np.arange(count)
+    lam[rows, k] = (lam.sum(axis=1) - lam[rows, k]) * (1.0 + rng.uniform(0.1, 1.0, count))
+    entries = np.zeros((count, 3, 3))
+    for (i, j), val in zip(((1, 2), (0, 2), (0, 1)), lam.T):
+        entries[:, i, j] = entries[:, j, i] = val
+    return entries
 
 
 def zero_one_weights(n, mask, pairs):
@@ -343,29 +356,112 @@ class TestOrthonormalReduction:
             assert rep.verdict
 
     def test_subspace_draws_match_sequential_pairs(self):
-        # one draw per stream replays the 16 sequential (re, im) pairs of
-        # (3, 3) draws that stored inner streams were made with
-        streams = [0, 5, 2**32 + 17]
-        draws = _subspace_draws(11, streams, 16)
-        for row, stream in zip(draws, streams):
+        # a reduction chunk draws its subspace samples as one (count, 16, 2, 3, 3) block;
+        # row 0 is the 16 sequential (re, im) pairs of (3, 3) draws that witnesses drawn
+        # one stream per trial were made with
+        for stream in (0, 5, 2**32 + 17):
             rng = trial_rng(11, stream)
             pairs = [[rng.standard_normal((3, 3)), rng.standard_normal((3, 3))] for _ in range(16)]
-            assert np.array_equal(row, np.array(pairs))
-        # the re-keyed generator reduces edge keys modulo 2^64 as trial_rng does
-        edge_streams = [2**32 + 3, 2**64 - 1, 0, 2**64 + 5]
+            assert np.array_equal(trial_rng(11, stream).standard_normal((7, 16, 2, 3, 3))[0], np.array(pairs))
+        # row t of a block is row t of a (t + 1)-row block, so a verifier draws rows 0..t
+        block = trial_rng(11, 2**32 + 1).standard_normal((512, 16, 2, 3, 3))
+        for t in (0, 1, 37, 510, 511):
+            assert np.array_equal(trial_rng(11, 2**32 + 1).standard_normal((t + 1, 16, 2, 3, 3))[t], block[t])
+        # edge keys reduce modulo 2^64
         for seed in (2**64 + 7, -3, 2**63):
-            draws = _subspace_draws(seed, np.array(edge_streams[:2], dtype=np.uint64), 4)
-            assert np.array_equal(draws, _subspace_draws(seed, edge_streams[:2], 4))
-            draws = _subspace_draws(seed, edge_streams, 4)
-            for row, stream in zip(draws, edge_streams):
-                assert np.array_equal(row.ravel(), trial_rng(seed, stream).standard_normal(row.size))
+            for stream in (2**32 + 3, 2**64 - 1, 2**64 + 5, -1):
+                got = trial_rng(seed, stream).standard_normal(8)
+                assert np.array_equal(got, trial_rng(seed % 2**64, stream % 2**64).standard_normal(8))
+
+    def test_old_form_witness_replays_bit_for_bit(self):
+        # written when each trial drew from its own stream 2^32 + trial: no inner_row,
+        # so the verifier draws row 0 of that stream
+        w = {
+            "trial": 29, "n": 3, "p": 2.5,
+            "matrix": [
+                [0.0, 0.709792544599921, 0.530986299420265],
+                [0.709792544599921, 0.0, 0.6612730293818998],
+                [0.530986299420265, 0.6612730293818998, 0.0],
+            ],
+            "x": [[0.342129366132586, -0.28985765399464797], [0.6220405058349435, 0.10043240831425515],
+                  [0.5311437062927701, 0.3461146356004319]],
+            "y": [[0.31840714676984566, -0.20266678212095282], [0.6990602323454546, 0.15467629952654677],
+                  [-0.46416362467573985, -0.3598405587984714]],
+            "z": [[0.597749086976813, 0.026175314415604126], [0.6089973194442004, -0.2521688807526017],
+                  [0.15258904381400937, 0.42925585159822316]],
+            "inner_seed": 5, "inner_stream": 4294967325, "tolerance": 1e-09,
+            "hodge_residual": 1.716587549445839e-15, "mu_residual": 1.3322676295501878e-15,
+            "spectral_margin": 0.25365595489216813, "verdict": True, "defect": -1.716587549445839e-14,
+        }  # fmt: skip
+        assert reevaluate_witness("reduction", w) == w["defect"]
+        rep = check_orthonormal_reduction(
+            np.array(w["matrix"]), 2.5, *(_l2c(w[k]) for k in "xyz"), inner_seed=5, inner_stream=w["inner_stream"]
+        )
+        assert (rep.hodge_residual, rep.mu_residual, rep.spectral_margin, rep.verdict) == (
+            w["hodge_residual"], w["mu_residual"], w["spectral_margin"], True,
+        )  # fmt: skip
+
+    def test_verifier_draws_row_t_of_the_block(self):
+        # weights that break the spectral condition make each trial's sample verdict depend on its
+        # draws; the verifier's report at row t of a stream is the kernel's on the whole block
+        rng = trial_rng(23, 1)
+        count, p, tol = 512, 2.0, 1e-9
+        entries = _violating_n3(rng, count)
+        x, y, z = (states_batch(rng, count, 3) for _ in range(3))
+        block = trial_rng(23, _REDUCTION_STREAM_BASE).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
+        rows = _reduction_rows(pair_weights(entries, p), p, x, y, z, block, tol)
+        checked = [0, 1, 255, 510, 511, int(np.argmax(rows[4]))]  # with the first row whose samples pass
+        assert {bool(rows[4][t]) for t in checked} == {True, False}
+        for t in checked:
+            got = check_orthonormal_reduction(
+                entries[t], p, x[t], y[t], z[t], inner_seed=23, inner_stream=_REDUCTION_STREAM_BASE, inner_row=t
+            )
+            assert got == _reduction_report(rows, t, tol)
+        # without inner_row, row 0 of each trial's own stream, the sequential pairs drawn before blocks
+        verdicts = set()
+        for t in range(32):
+            seq, row = trial_rng(23, _REDUCTION_STREAM_BASE + t), slice(t, t + 1)
+            draws = np.array([[[seq.standard_normal((3, 3)) for _ in range(2)] for _ in range(16)]])
+            want = _reduction_rows(pair_weights(entries[row], p), p, x[row], y[row], z[row], draws, tol)
+            got = check_orthonormal_reduction(
+                entries[t], p, x[t], y[t], z[t], inner_seed=23, inner_stream=_REDUCTION_STREAM_BASE + t
+            )
+            assert got == _reduction_report(want, 0, tol)
+            verdicts.add(got.subspace_fuzz_ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_subspace_samples_catch_broken_spectral_condition(self, p):
+        # where the spectral condition fails some orthonormal triple of the subspace breaks the
+        # triangle inequality, and the samples must find one often enough: over 512 fixed-seed
+        # n=3 weight systems the 16 samples of a block find one in 78% (p=2) and 55% (p=3) of
+        # the trials, and a single sample in 14% and 7%
+        rng = trial_rng(1, 23)
+        count = 512
+        entries = _violating_n3(rng, count)
+        x, y, z = (states_batch(rng, count, 3) for _ in range(3))
+        block = trial_rng(1, _REDUCTION_STREAM_BASE).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
+        _, _, _, margin, ok = _reduction_rows(pair_weights(entries, p), p, x, y, z, block, 1e-9)
+        assert (margin < -1e-9).all()
+        assert np.count_nonzero(~ok) / count > 0.3
+
+    @pytest.mark.parametrize("row", [-1, 512, 10**12, True, 1.5])
+    def test_inner_row_is_gated_before_any_draw(self, row):
+        # a malformed witness must not ask for a multi-GB block
+        e = np.array([[0, 1.0, 0.9], [1.0, 0, 0.6], [0.9, 0.6, 0]])
+        xs = [basis(3, k) for k in range(3)]
+        with pytest.raises(ValueError, match="inner_row"):
+            check_orthonormal_reduction(e, 2.0, *xs, inner_row=row)
+        w = run_fuzz("reduction", TrialConfig(n=3, p=2.0, trials=3, seed=1)).witness
+        with pytest.raises(ValueError, match="inner_row"):
+            reevaluate_witness("reduction", json.loads(json.dumps({**w, "inner_row": row})))
 
     def test_degenerate_subspace_frame_fails_the_sample(self):
         # a rank-deficient draw has no orthonormal frame; its trial must not pass
         e = np.array([[0, 1.0, 0.9], [1.0, 0, 0.6], [0.9, 0.6, 0]])
         wts = np.repeat(pair_weights(e, 2.0)[None], 2, axis=0)
         x, y, z = (np.repeat(basis(3, k)[None], 2, axis=0) for k in range(3))
-        draws = _subspace_draws(3, [0, 1], 16)
+        draws = trial_rng(3).standard_normal((2, 16, 2, 3, 3))
         draws[1, 5, :, :, 2] = draws[1, 5, :, :, 0]  # third column repeats the first
         rows = _reduction_rows(wts, 2.0, x, y, z, draws, 1e-9)
         assert rows[4].tolist() == [True, False]
@@ -379,7 +475,7 @@ class TestOrthonormalReduction:
         e = np.array([[0, 1.0, 0.9], [1.0, 0, 0.6], [0.9, 0.6, 0]])
         wts = np.repeat(pair_weights(e, 2.0)[None], 2, axis=0)
         x, y, z = (np.repeat(basis(3, k)[None], 2, axis=0) for k in range(3))
-        draws = _subspace_draws(3, [0, 1], 16)
+        draws = trial_rng(3).standard_normal((2, 16, 2, 3, 3))
         draws[1, 5, :, :, 2] = draws[1, 5, :, :, 0]  # the degenerate frame: a sample fails
         _, hodge, mu, margin, ok = _reduction_rows(wts, 2.0, x, y, z, draws, tol)
         assert (margin >= -tol).all() and ok.tolist() == [True, False]
@@ -414,7 +510,7 @@ class TestOrthonormalReduction:
         pairs = e[[0, 0, 1], [1, 2, 2]]
         exact = (pairs.sum() - 2 * pairs.max()) / max(1.0, pairs.sum())
         got = check_orthonormal_reduction(
-            e, p, *(_l2c(w[k]) for k in "xyz"), inner_seed=w["inner_seed"], inner_stream=w["inner_stream"]
+            e, p, *(_l2c(w[k]) for k in "xyz"), **{k: w[k] for k in ("inner_seed", "inner_stream", "inner_row")}
         )
         assert got.spectral_margin == pytest.approx(exact, abs=cfg.tolerance)
         assert got.verdict
@@ -443,7 +539,7 @@ class TestOrthonormalReduction:
         count = 200
         wts = pair_weights(distance_matrices_batch(rng, count, n, "repaired-random"), p)
         x, y, z = (states_batch(rng, count, n) for _ in range(3))
-        draws = _subspace_draws(5, range(count), 16)
+        draws = trial_rng(5).standard_normal((count, 16, 2, 3, 3))
         # the per-sample loop the kernel ran before its one product, on frames built as it builds them
         v = np.linalg.qr(np.stack([x, y, z], axis=-1))[0].swapaxes(-1, -2)
         cols = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2).reshape(-1, 3, 3)
@@ -505,7 +601,7 @@ def _kernel_case(name, n, count):
         b = states_batch(rng, count, n * (n - 1) // 2)
         mask = rng.random(b.shape) < 0.5
         return lambda s: _projector_rows(b[s], x[s], mask[s])
-    draws = _subspace_draws(77, range(count), 4)
+    draws = trial_rng(77).standard_normal((count, 4, 2, 3, 3))
     return lambda s: _reduction_rows(wts[s], 2.5, x[s], y[s], z[s], draws[s].copy(), 1e-9)
 
 

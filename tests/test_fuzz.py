@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pqdist import fuzz, metric
-from pqdist.checks import _triangle_bounds, _triangle_rows
+from pqdist.checks import SUBSPACE_SAMPLES, _reduction_rows, _triangle_bounds, _triangle_rows
 from pqdist.fileio import _c2l, _m2l
 from pqdist.fuzz import (
     _KERNELS,
@@ -75,6 +75,12 @@ class TestDeterminism:
         b = run_fuzz(prop, cfg, threads=8)
         assert scrubbed(a) == scrubbed(b)
 
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 16])
+    def test_reduction_thread_count_does_not_change_results(self, n):
+        # two full chunks and a partial one, each drawing its subspace samples as one block
+        cfg = TrialConfig(n=n, p=2.5, trials=2 * CHUNK_TRIALS + 76, seed=n, matrix_mode="repaired-random")
+        assert scrubbed(run_fuzz("reduction", cfg, threads=1)) == scrubbed(run_fuzz("reduction", cfg, threads=2))
+
     def test_env_var_cap(self, monkeypatch):
         monkeypatch.setenv("PQDIST_THREADS", "2")
         assert thread_count() == 2
@@ -111,7 +117,7 @@ class TestDeterminism:
 _TRIANGLE_KEYS = ["trial", "variant", "n", "p", "matrix", "x", "y", "z", "distances", "defect"]
 _WEIGHTED_KEYS = ["trial", "n", "weights", "x", "y", "z"]
 _REDUCTION_KEYS = [
-    "trial", "n", "p", "matrix", "x", "y", "z", "inner_seed", "inner_stream", "tolerance",
+    "trial", "n", "p", "matrix", "x", "y", "z", "inner_seed", "inner_stream", "inner_row", "tolerance",
     "hodge_residual", "mu_residual", "spectral_margin", "verdict", "defect",
 ]  # fmt: skip
 
@@ -219,6 +225,30 @@ class TestAllProperties:
     def test_witness_keys_in_order(self, prop, cfg, keys):
         # the key order is part of the report bytes
         assert list(run_fuzz(prop, cfg).witness) == keys
+
+    def test_reduction_witness_rows_replay(self):
+        # a witness names its chunk's stream and its row in that chunk's block: rows 0 and 511
+        # and a row of a partial last chunk replay the defect the chunk's kernel gave them
+        cfg = TrialConfig(n=4, p=2.5, trials=2 * CHUNK_TRIALS + 76, seed=9)
+        for chunk, row in ((0, 0), (1, CHUNK_TRIALS - 1), (2, 75)):
+            count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
+            mats, x, y, z = fuzz._matrix_triple_batch(cfg, None, chunk, count)
+            stream = fuzz._REDUCTION_STREAM_BASE + chunk
+            draws = fuzz.trial_rng(cfg.seed, stream).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
+            rows = _reduction_rows(pair_weights(mats, cfg.p), cfg.p, x, y, z, draws, cfg.tolerance)
+            defects = fuzz._reduction_defect(*rows[1:], cfg.tolerance)
+
+            def witness(t):
+                return {
+                    "p": cfg.p, "matrix": _m2l(mats[t]), "x": _c2l(x[t]), "y": _c2l(y[t]), "z": _c2l(z[t]),
+                    "inner_seed": cfg.seed, "inner_stream": stream, "inner_row": t, "tolerance": cfg.tolerance,
+                }  # fmt: skip
+
+            # the chunk's own witness is this reconstruction at its worst row
+            found = fuzz._chunk_reduction(cfg, None, chunk, count).witness
+            assert found["defect"] == defects.min()
+            assert witness(found["inner_row"]).items() <= found.items()
+            assert reevaluate_witness("reduction", json.loads(json.dumps(witness(row)))) == defects[row]
 
     @pytest.mark.parametrize("prop", ["minorial", "convexity", "w1"])
     def test_replay_checks_orthonormality_without_repair(self, prop):

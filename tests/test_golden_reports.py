@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from make_golden_reports import CORPUS, digest, environment, run
+from make_golden_reports import CORPUS, check, digest, environment, run
 
 _CORPUS = json.loads(CORPUS.read_text())
 # Report bytes are compared only on the numpy version and machine type that recorded
@@ -29,3 +29,15 @@ def test_reports_match_the_golden_corpus(mode):
         if not _agrees(want, got, mode):
             wrong.append((want["property"], want["config"], {k: (want[k], got[k]) for k in got if want[k] != got[k]}))
     assert not wrong, f"{len(wrong)} of {len(_CORPUS['campaigns'])} campaigns changed ({mode}): {wrong}"
+
+
+def test_check_names_each_moved_entry(capsys):
+    # ``make_golden_reports.py --check`` compares fresh digests with the stored ones and writes nothing
+    stored = _CORPUS["campaigns"]
+    assert check(stored) == 0
+    fresh = [{**stored[0], "sha256": "0" * 64, "trial": -1}, *stored[2:], {**stored[1], "config": {}}]
+    assert check(fresh) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in lines[1:-1]] == ["changed", "removed", "added"]
+    assert lines[1].endswith(": sha256, trial") and lines[2].endswith(": sha256, violations, trial, worst_defect")
+    assert CORPUS.read_text() == json.dumps(_CORPUS, indent=1, allow_nan=False) + "\n"
