@@ -4,9 +4,11 @@ A 512-trial draw block (``CHUNK_TRIALS``) is the stream key: block c draws
 all its randomness from independent Philox streams keyed (seed, c) and, for
 the reduction's subspace samples, (seed, 2^32 + c).  It is the unit handed
 to a worker thread, so campaigns are bit-reproducible for a fixed seed
-regardless of how many threads run the blocks.  Aggregation keeps
-the violation count and the worst defect with the smallest trial index, both
-of which are order-independent reductions.
+regardless of how many threads run the blocks.  A block's result is one
+(violations, witness) pair from ``_outcome``, the one rule that counts
+violations and picks the worst row, and ``run_fuzz`` folds the pairs with
+``_merge`` in block order as they arrive, so a campaign holds one witness
+whatever its trial count.
 
 Each block runs sample -> kernel -> reduce and witness.  The kernels are the
 batched ones in ``checks`` that the scalar verifiers also run, so
@@ -27,9 +29,11 @@ interval arithmetic through the p-th root, sum - 2 max and the normalization
 (``checks._triangle_bounds``).  Only rows that could hold the chunk's worst
 defect or whose verdict the interval leaves open (and rows with a non-finite
 end) go to the exact kernel, which stays the only evaluator of every number
-in a report; the rows whose interval lies below -tolerance count as
-violations without it.  So reports keep their bytes, and a random chunk
-leaves about one row to the kernel instead of 512.
+in a report.  Its defects overwrite those rows' upper ends, and ``_outcome``
+reduces that column like any other: an upper end below -tolerance is a
+violation, and an upper end left in place is never the worst.  So reports
+keep their bytes, and a random chunk leaves about one row to the kernel
+instead of 512.
 
 Each property is one row of ``_TABLE``: its chunk, its witness replay, its
 smallest n and whether it reads a distance matrix.  Its defect (nonnegative
@@ -46,8 +50,8 @@ import os
 import time
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
+from functools import partial, reduce
 
 import numpy as np
 
@@ -198,8 +202,6 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
         raise ValueError(f"unknown property {prop!r}; expected one of {PROPERTIES}")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
-    if cfg.n < 2:
-        raise ValueError("dimension must be >= 2")
     if not (0 < cfg.tolerance < math.inf):
         raise ValueError("tolerance must be positive and finite")
     _check_exponent(cfg.p)
@@ -220,29 +222,24 @@ def _validate(prop: str, cfg: TrialConfig, matrix) -> None:
         raise ValueError(f"unknown matrix mode {cfg.matrix_mode!r}")
 
 
-# A property's chunk (cfg, entries, chunk index, row count) -> _ChunkOutcome, its witness
+# A property's chunk (cfg, entries, chunk index, row count) -> (violations, witness), its witness
 # replay (witness object, where) -> defect, its smallest n and whether it reads a distance matrix.
 _Property = namedtuple("_Property", "chunk replay min_n reads_matrix", defaults=(3, False))
 
 
-@dataclass
-class _ChunkOutcome:
-    violations: int
-    worst: float
-    trial: int
-    witness: dict = field(default_factory=dict)
-
-
-def _worst(cfg: TrialConfig, chunk: int, defects: np.ndarray) -> tuple[int, int, float, int]:
-    """(violations, local index, defect, trial index) of the chunk's worst row."""
-    violations = int(np.count_nonzero(~(defects >= -cfg.tolerance)))  # NaN counts
+def _outcome(cfg: TrialConfig, chunk: int, defects: np.ndarray, fields) -> tuple[int, dict]:
+    """(violations, witness) of a chunk: a NaN defect counts, and the witness of the first
+    smallest row holds its trial index, ``fields(row)`` and its defect."""
     local = int(np.argmin(defects))
-    return violations, local, float(defects[local]), chunk * CHUNK_TRIALS + local
+    witness = {"trial": chunk * CHUNK_TRIALS + local, **fields(local), "defect": float(defects[local])}
+    return int(np.count_nonzero(~(defects >= -cfg.tolerance))), witness
 
 
-def _outcome(cfg: TrialConfig, violations: int, worst: float, trial: int, fields: dict) -> _ChunkOutcome:
-    """A chunk's outcome, whose witness holds the trial index, n, ``fields`` and the defect."""
-    return _ChunkOutcome(violations, worst, trial, {"trial": trial, "n": cfg.n, **fields, "defect": worst})
+def _merge(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    """Two chunk results as one: the summed violations and the witness ``min`` keeps by
+    (defect, trial), so the earlier one on a NaN."""
+    (va, wa), (vb, wb) = a, b
+    return va + vb, wb if (wb["defect"], wb["trial"]) < (wa["defect"], wa["trial"]) else wa
 
 
 def _xyz(states, local: int) -> dict:
@@ -271,7 +268,7 @@ _SCREEN_MIN_PAIRS = 36
 
 
 def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
-    """(rows, violations): the rows the exact kernel must evaluate, and the violations decided without it.
+    """(rows, hi): the rows the exact kernel must evaluate, and every row's upper bound on its defect.
 
     Every row gets a certified interval around the defect the exact kernel
     would give it (``metric._minor_sum_bounds``, ``checks._triangle_bounds``),
@@ -279,7 +276,8 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
     hold the chunk's worst defect only if its lower end is at most the
     smallest upper end, and its verdict is open only if its interval straddles
     -tolerance; those rows and every row with a non-finite end are candidates.
-    Of the others, the rows whose upper end is below -tolerance are violations.
+    Any other row's finite upper end lies above the smallest exact defect and
+    on the same side of -tolerance as its exact defect.
     """
     n, p, tol = cfg.n, cfg.p, cfg.tolerance
     count, width = len(mats), 9 * len(variants) * n  # (a, Re c, Im c) rows per pair
@@ -301,7 +299,7 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
     lo, hi = lo.min(axis=1), hi.min(axis=1)
     top = np.min(np.where(finite, hi, np.inf))
     open_ = ~finite | (lo <= top) | ((lo < -tol) & (hi >= -tol))
-    return np.flatnonzero(open_), int(np.count_nonzero(~open_ & (hi < -tol)))
+    return np.flatnonzero(open_), hi
 
 
 def _triangle_defect(slack, dmax):
@@ -319,13 +317,13 @@ def _triangle_variants(x, y, z) -> list:
     return [(x, y, z), (u, v, w)]
 
 
-def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
     n, p = cfg.n, cfg.p
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     variants = _triangle_variants(x, y, z)
-    rows, screened = slice(None), 0
+    rows, hi = slice(None), np.empty(count)
     if math.comb(n, 2) >= _SCREEN_MIN_PAIRS:
-        rows, screened = _triangle_candidates(cfg, entries, mats, variants)
+        rows, hi = _triangle_candidates(cfg, entries, mats, variants)
     wts = pair_weights(mats[rows], p)
 
     def kernel(wt, a, b, c):
@@ -333,21 +331,21 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chunk
         return _triangle_defect(slack, dmax), d
 
     defects, dists = zip(*[_in_slices(kernel, math.comb(n, 2), wts, *(s[rows] for s in v)) for v in variants])
-    violations, sub, worst, _ = _worst(cfg, chunk, np.minimum.reduce(defects))
-    k = min(range(len(variants)), key=lambda i: defects[i][sub])  # raw on a tie or a NaN
-    local = int(np.arange(count)[rows][sub])
-    trial = chunk * CHUNK_TRIALS + local
-    witness = {
-        "trial": trial,
-        "variant": ("raw", "orthonormal")[k],
-        "n": n,
-        "p": float(p),
-        "matrix": _m2l(mats[local]),
-        **_xyz(variants[k], local),
-        "distances": [float(d) for d in dists[k][sub]],
-        "defect": worst,
-    }
-    return _ChunkOutcome(screened + violations, worst, trial, witness)
+    hi[rows] = np.minimum.reduce(defects)
+
+    def fields(local):
+        sub = int(np.searchsorted(np.arange(count)[rows], local))  # the row among the candidates
+        k = min(range(len(variants)), key=lambda i: defects[i][sub])  # raw on a tie or a NaN
+        return {
+            "variant": ("raw", "orthonormal")[k],
+            "n": n,
+            "p": float(p),
+            "matrix": _m2l(mats[local]),
+            **_xyz(variants[k], local),
+            "distances": [float(d) for d in dists[k][sub]],
+        }
+
+    return _outcome(cfg, chunk, hi, fields)
 
 
 def _replay_triangle(w: dict, where: str):
@@ -356,7 +354,7 @@ def _replay_triangle(w: dict, where: str):
     return _triangle_defect(*triangle_defect(e, p, x, y, z))
 
 
-def _chunk_weighted(kernel, defect, cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+def _chunk_weighted(kernel, defect, cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
     """Chunk of orthonormal triples under random pair weights.  ``kernel(p)`` is the row kernel, and
     ``defect(p, *its outputs)`` gives every row's defect and a function from a row to its witness fields."""
     rng = trial_rng(cfg.seed, chunk)
@@ -364,8 +362,8 @@ def _chunk_weighted(kernel, defect, cfg: TrialConfig, entries, chunk: int, count
     u, v, w, ok = _orthonormalize_triples(*(states_batch(rng, count, n) for _ in range(3)))
     a = pair_weights_batch(rng, count, n, "zero-one" if cfg.matrix_mode == "zero-one" else "uniform")
     defects, fields = defect(cfg.p, *_in_slices(kernel(cfg.p), math.comb(n, 3), a, u, v, w))
-    violations, local, worst, trial = _worst(cfg, chunk, np.where(ok, defects, np.inf))
-    return _outcome(cfg, violations, worst, trial, {
+    return _outcome(cfg, chunk, np.where(ok, defects, np.inf), lambda local: {
+        "n": n,
         "weights": _m2l(_symmetric_from_pairs(a[local], n)),
         **_xyz((u, v, w), local),
         **fields(local),
@@ -408,7 +406,7 @@ def _w1_defect(p, lhs, rhs, residual):
     return -residual, lambda i: {"lhs": float(lhs[i]), "rhs": float(rhs[i]), "residual": float(residual[i])}
 
 
-def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
     rng = trial_rng(cfg.seed, chunk)
     n = cfg.n
     npairs = math.comb(n, 2)
@@ -416,9 +414,9 @@ def _chunk_projector(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
     v = states_batch(rng, count, n)
     mask = rng.random((count, npairs)) < 0.5
     outer, inner = _in_slices(_projector_rows, math.comb(n, 3), b, v, mask)
-    violations, local, worst, trial = _worst(cfg, chunk, np.minimum(outer, inner))
     pi, pj = pair_indices(n)
-    return _outcome(cfg, violations, worst, trial, {
+    return _outcome(cfg, chunk, np.minimum(outer, inner), lambda local: {
+        "n": n,
         "pairs": [[int(i), int(j)] for i, j in zip(pi[mask[local]], pj[mask[local]])],
         "bivector": _c2l(b[local]),
         "v": _c2l(v[local]),
@@ -439,7 +437,7 @@ def _reduction_defect(hodge_residual, mu_residual, spectral_margin, fuzz_ok, tol
     return np.where((spectral_margin >= -tol) != fuzz_ok, np.minimum(d, -2.0 * tol), d)
 
 
-def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _ChunkOutcome:
+def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
     mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     stream = _REDUCTION_STREAM_BASE + chunk
     draws = trial_rng(cfg.seed, stream).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
@@ -448,21 +446,25 @@ def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> _Chun
         return _reduction_rows(wts, cfg.p, x, y, z, draws, cfg.tolerance)
 
     rows = _in_slices(kernel, math.comb(cfg.n, 2), pair_weights(mats, cfg.p), x, y, z, draws)
-    violations, local, worst, trial = _worst(cfg, chunk, _reduction_defect(*rows[1:], cfg.tolerance))
-    rep = _reduction_report(rows, local, cfg.tolerance)
-    return _outcome(cfg, violations, worst, trial, {
-        "p": float(cfg.p),
-        "matrix": _m2l(mats[local]),
-        **_xyz((x, y, z), local),
-        "inner_seed": int(cfg.seed),
-        "inner_stream": stream,
-        "inner_row": local,
-        "tolerance": float(cfg.tolerance),
-        "hodge_residual": rep.hodge_residual,
-        "mu_residual": rep.mu_residual,
-        "spectral_margin": rep.spectral_margin,
-        "verdict": bool(rep.verdict),
-    })
+
+    def fields(local):
+        rep = _reduction_report(rows, local, cfg.tolerance)
+        return {
+            "n": cfg.n,
+            "p": float(cfg.p),
+            "matrix": _m2l(mats[local]),
+            **_xyz((x, y, z), local),
+            "inner_seed": int(cfg.seed),
+            "inner_stream": stream,
+            "inner_row": local,
+            "tolerance": float(cfg.tolerance),
+            "hodge_residual": rep.hodge_residual,
+            "mu_residual": rep.mu_residual,
+            "spectral_margin": rep.spectral_margin,
+            "verdict": bool(rep.verdict),
+        }
+
+    return _outcome(cfg, chunk, _reduction_defect(*rows[1:], cfg.tolerance), fields)
 
 
 def _replay_reduction(w: dict, where: str):
@@ -499,20 +501,17 @@ def run_fuzz(
     reports apart from the elapsed-time field."""
     _validate(prop, cfg, matrix)
     entries = matrix.entries if matrix is not None else None
-    kernel = _KERNELS[prop]
-    nchunks = (cfg.trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    counts = [min(CHUNK_TRIALS, cfg.trials - c * CHUNK_TRIALS) for c in range(nchunks)]
+    run = partial(_KERNELS[prop], cfg, entries)  # (chunk index, row count) -> (violations, witness)
+    counts = [min(CHUNK_TRIALS, cfg.trials - first) for first in range(0, cfg.trials, CHUNK_TRIALS)]
 
     start = time.perf_counter()
-    workers = min(thread_count(threads), nchunks)
+    workers = min(thread_count(threads), len(counts))
+    # chunk results are merged in chunk order as they arrive, each dropped once merged
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: kernel(cfg, entries, c, counts[c]), range(nchunks)))
+            violations, witness = reduce(_merge, pool.map(run, range(len(counts)), counts))
     else:
-        outcomes = [kernel(cfg, entries, c, counts[c]) for c in range(nchunks)]
-
-    violations = sum(o.violations for o in outcomes)
-    best = min(outcomes, key=lambda o: (o.worst, o.trial))
+        violations, witness = reduce(_merge, (run(c, count) for c, count in enumerate(counts)))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     return VerificationReport(
@@ -520,8 +519,8 @@ def run_fuzz(
         config=cfg,
         trials=cfg.trials,
         violations=violations,
-        worst_defect=best.worst,
-        witness=best.witness,
+        worst_defect=witness["defect"],
+        witness=witness,
         seed=cfg.seed,
         elapsed_ms=elapsed_ms,
         matrix=_m2l(entries) if entries is not None else None,

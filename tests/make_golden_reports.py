@@ -43,26 +43,29 @@ def _matrix(n: int) -> list:
 def campaigns() -> list[dict]:
     """About sixty campaigns: every property, n from 2 to 16 (screened triangle chunks from
     n = 9), the four matrix modes and p in {1.5, 2, 2.5, 10}, with trial counts that end
-    in a partial chunk."""
+    in a partial chunk.  Each campaign names its own seed, so adding one reseeds no other."""
     out = []
 
-    def add(prop, n, p, trials, mode):
-        cfg = TrialConfig(n=n, p=p, trials=trials, seed=len(out) + 1, matrix_mode=mode)
+    def add(prop, n, p, trials, mode, seed):
+        cfg = TrialConfig(n=n, p=p, trials=trials, seed=seed, matrix_mode=mode)
         matrix = _matrix(n) if mode == "user-supplied" else None
         out.append({"property": prop, "config": cfg.to_dict(), "matrix": matrix})
 
     for i, n in enumerate((2, 3, 4, 6, 9, 16)):
         for j, p in enumerate((1.5, 2.0, 2.5, 10.0)):
-            add("triangle", n, p, 2100, _MODES[(i + j) % 4])
+            add("triangle", n, p, 2100, _MODES[(i + j) % 4], seed=1 + 4 * i + j)
     reduction = [(3, 1.5), (3, 2.0), (3, 10.0), (4, 2.5), (4, 10.0), (6, 1.5), (6, 2.0), (9, 2.5), (9, 10.0), (16, 2.0)]
     for i, (n, p) in enumerate(reduction):
-        add("reduction", n, p, 200, _MODES[i % 4])
-    for prop, ps in (("minorial", (2.0,)), ("convexity", (2.0, 2.5, 10.0)), ("w1", (2.0,)), ("projector", (2.0,))):
+        add("reduction", n, p, 200, _MODES[i % 4], seed=25 + i)
+    others = (("minorial", (2.0,)), ("convexity", (2.0, 2.5, 10.0)), ("w1", (2.0,)), ("projector", (2.0,)))
+    for k, (prop, ps) in enumerate(others):
         for i, n in enumerate((3, 4, 5, 6, 9, 16)):
             trials = 700 if n < 9 else 520
-            add(prop, n, ps[i % len(ps)], trials, _MODES[i % 3])
+            add(prop, n, ps[i % len(ps)], trials, _MODES[i % 3], seed=35 + 6 * k + i)
     # two full chunks and a partial one, whose trial 1069 (chunk 2, row 45) is the witness
-    add("reduction", 4, 3.0, 1200, "repaired-random")
+    add("reduction", 4, 3.0, 1200, "repaired-random", seed=59)
+    seeds = [e["config"]["seed"] for e in out]
+    assert len(set(seeds)) == len(seeds), "every campaign needs its own seed"
     return out
 
 

@@ -1,6 +1,8 @@
 import ctypes
 import dataclasses
+import functools
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -112,6 +114,49 @@ class TestDeterminism:
         for trials in (CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1):
             rep = run_fuzz("triangle", TrialConfig(n=3, p=2.0, trials=trials, seed=5))
             assert rep.trials == trials
+
+
+def _w(trial, defect):
+    return {"trial": trial, "defect": defect}
+
+
+class TestCampaignReduction:
+    def test_campaign_holds_one_witness(self, monkeypatch):
+        # each chunk's result is merged and dropped before the next chunk runs, so
+        # 64 one-MiB witnesses never coexist.  One thread only: a pool submits every
+        # chunk at once, and a trivial chunk can finish before its result is merged.
+        def chunk(cfg, entries, c, count):
+            return 1, {"trial": c * CHUNK_TRIALS, "defect": 0.0, "blob": bytearray(1 << 20)}
+
+        monkeypatch.setitem(fuzz._KERNELS, "triangle", chunk)
+        tracemalloc.start()
+        try:
+            rep = run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=64 * CHUNK_TRIALS, seed=0), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.violations, rep.witness["trial"]) == (64, 0)
+        assert peak < 8 * 2**20
+
+    def test_merge_prefers_the_smaller_trial_on_equal_defects(self):
+        early, late = _w(5, -1.0), _w(600, -1.0)
+        assert fuzz._merge((1, late), (2, early)) == (3, early)
+        assert fuzz._merge((2, early), (1, late)) == (3, early)
+        assert fuzz._merge((0, late), (0, _w(1024, -2.0)))[1]["trial"] == 1024
+
+    def test_merge_keeps_the_earlier_chunk_on_a_nan(self):
+        nan, finite = _w(7, math.nan), _w(512, -5.0)
+        assert fuzz._merge((1, nan), (4, finite)) == (5, nan)  # a later finite defect does not replace it
+        assert fuzz._merge((1, nan), (1, _w(600, math.nan)))[1] is nan
+        assert fuzz._merge((4, finite), (1, _w(1024, math.nan)))[1] is finite
+
+    def test_merge_folds_as_min_over_the_list(self):
+        rng = np.random.default_rng(3)
+        defects = rng.choice([-2.0, -1.0, 0.5, math.nan], size=40)
+        results = [(int(d < 0), _w(c * CHUNK_TRIALS + int(rng.integers(3)), float(d))) for c, d in enumerate(defects)]
+        violations, witness = functools.reduce(fuzz._merge, results)
+        assert violations == sum(v for v, _ in results)
+        assert witness is min((w for _, w in results), key=lambda w: (w["defect"], w["trial"]))
 
 
 _TRIANGLE_KEYS = ["trial", "variant", "n", "p", "matrix", "x", "y", "z", "distances", "defect"]
@@ -245,7 +290,7 @@ class TestAllProperties:
                 }  # fmt: skip
 
             # the chunk's own witness is this reconstruction at its worst row
-            found = fuzz._chunk_reduction(cfg, None, chunk, count).witness
+            found = fuzz._chunk_reduction(cfg, None, chunk, count)[1]
             assert found["defect"] == defects.min()
             assert witness(found["inner_row"]).items() <= found.items()
             assert reevaluate_witness("reduction", json.loads(json.dumps(witness(row)))) == defects[row]
@@ -473,11 +518,12 @@ class TestTriangleScreen:
             mats = np.broadcast_to(entries, mats.shape)
         cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
         monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
-        got = fuzz._chunk_triangle(cfg, entries, 0, count)
+        got_violations, got = fuzz._chunk_triangle(cfg, entries, 0, count)
         violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
-        assert (got.violations, got.trial) == (violations, trial)
-        assert json.dumps([got.worst, got.witness]) == json.dumps([worst, witness])
-        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
+        assert (got_violations, got["trial"]) == (violations, trial)
+        assert json.dumps([got["defect"], got]) == json.dumps([worst, witness])
+        rows, hi = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
+        screened = np.count_nonzero(np.delete(hi, rows) < -cfg.tolerance)
         assert set(rows) >= {trial}
         if p < 2:  # two-coordinate triples break the inequality, most decided by the screen alone
             assert violations >= 40 and screened > violations // 2
@@ -498,10 +544,10 @@ class TestTriangleScreen:
             mats = np.broadcast_to(entries, mats.shape)
         cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
         monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
-        got = fuzz._chunk_triangle(cfg, entries, 0, count)
+        got_violations, got = fuzz._chunk_triangle(cfg, entries, 0, count)
         violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
-        assert (got.violations, got.trial) == (violations, trial)
-        assert json.dumps([got.worst, got.witness]) == json.dumps([worst, witness])
+        assert (got_violations, got["trial"]) == (violations, trial)
+        assert json.dumps([got["defect"], got]) == json.dumps([worst, witness])
 
     @pytest.mark.parametrize(
         "cfg,fixed",
@@ -514,8 +560,8 @@ class TestTriangleScreen:
     def test_random_chunk_leaves_one_candidate(self, cfg, fixed):
         entries = np.asarray(_adversarial_rows(cfg.n, 2, seed=4)[0][1]) if fixed else None
         mats, x, y, z = fuzz._matrix_triple_batch(cfg, entries, 0, cfg.trials)
-        rows, screened = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
-        assert len(rows) == 1 and screened == 0
+        rows, hi = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
+        assert len(rows) == 1 and np.count_nonzero(np.delete(hi, rows) < -cfg.tolerance) == 0
 
     @pytest.mark.parametrize("n,p,huge,fixed", _SCREEN_CASES)
     def test_intervals_contain_the_exact_kernel(self, n, p, huge, fixed):
@@ -552,6 +598,8 @@ class TestValidationErrors:
             run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=0, seed=0))
         with pytest.raises(ValueError, match="dimension"):
             run_fuzz("minorial", TrialConfig(n=2, p=2.0, trials=10, seed=0))
+        with pytest.raises(ValueError, match="property 'triangle' needs dimension >= 2"):
+            run_fuzz("triangle", TrialConfig(n=1, p=2.0, trials=10, seed=0))
         with pytest.raises(ValueError, match="concave"):
             run_fuzz("convexity", TrialConfig(n=4, p=1.0, trials=10, seed=0))
         with pytest.raises(ValueError, match="tolerance"):
