@@ -3,9 +3,12 @@
 Floats are serialized with Python's shortest round-trip representation, so
 parse(serialize(x)) == x holds exactly and identically seeded runs produce
 byte-identical files.  Every file is strict JSON: the writers refuse NaN and
-Infinity, which a report body carries as null.  Loaders check the shape
-of a document before they use it: a document that is not an object, or a key
-that is missing or of the wrong JSON type, raises ValueError naming the file.
+Infinity, which a report body carries as null.  A writer streams the bytes of
+``json.dumps(doc, indent=2, allow_nan=False)`` and a newline in pieces, a
+list of floats as one piece, so no whole-file string is built.  Loaders check
+the shape of a document before they use it: a document that is not an object,
+or a key that is missing or of the wrong JSON type, raises ValueError naming
+the file.
 """
 
 from __future__ import annotations
@@ -97,10 +100,38 @@ def _l2c(pairs) -> np.ndarray:  # complex values from [re, im] pairs on the last
     return a[..., 0] + 1j * a[..., 1]
 
 
+_scalar = json.JSONEncoder(indent=2, allow_nan=False).encode  # one value or empty container, as json.dumps
+
+
+def _pieces(obj, depth: int = 0):
+    """``json.dumps(obj, indent=2, allow_nan=False)`` in pieces, ``obj`` at nesting ``depth``."""
+    inner, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if isinstance(obj, (list, tuple)) and obj:
+        try:  # a list of floats is one piece; json writes each float by float.__repr__
+            row = f",{inner}".join(map(float.__repr__, obj))
+        except TypeError:  # not all floats
+            items, ends = (("", v) for v in obj), "[]"
+        else:
+            if "n" in row:  # nan or inf: the encoder raises its ValueError at the first
+                list(map(_scalar, obj))
+            yield f"[{inner}{row}{close}]"
+            return
+    elif isinstance(obj, dict) and obj:  # each key as json writes it, or raises
+        items, ends = ((_scalar({k: None})[4:-6], v) for k, v in obj.items()), "{}"  # from {\n  "k": null\n}
+    else:
+        yield _scalar(obj)
+        return
+    yield ends[0]
+    for k, (key, value) in enumerate(items):
+        yield f"{',' if k else ''}{inner}{key}"
+        yield from _pieces(value, depth + 1)
+    yield close + ends[1]
+
+
 def _write_json(path, doc: dict) -> None:
-    """Write ``doc`` as strict JSON, indented by 2, with a trailing newline, in one write."""
+    """Stream ``doc`` to ``path`` in pieces: the bytes of ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"``."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.writelines(chain(_pieces(doc), "\n"))
 
 
 def matrix_to_dict(entries) -> dict:

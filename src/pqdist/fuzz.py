@@ -7,10 +7,11 @@ to a worker thread, so campaigns are bit-reproducible for a fixed seed
 regardless of how many threads run the blocks.  A block's result is one
 (violations, witness) pair from ``_outcome``, the one rule that counts
 violations and picks the worst row, and ``run_fuzz`` folds the pairs with
-``_merge`` in block order as they arrive, so a campaign holds one witness
-whatever its trial count.
+``_merge`` in block order as they arrive, two blocks per worker in flight, so
+a campaign's memory does not grow with its trial count.
 
-Each block runs sample -> kernel -> reduce and witness.  The kernels are the
+Each block runs sample -> kernel -> reduce and witness; its distance matrices
+are C(n,2) pair values, expanded to n x n only where one is read.  The kernels are the
 batched ones in ``checks`` that the scalar verifiers also run, so
 ``reevaluate_witness`` re-checks a witness with the code that found it.  A
 kernel slice is the unit of compute: a block's kernel runs over consecutive
@@ -48,7 +49,7 @@ import ctypes
 import math
 import os
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -76,12 +77,11 @@ from .checks import (
 )
 from .exterior import Bivector, pair_indices
 from .fileio import _c2l, _complex_rows, _m2l, _number_rows, _object, get_field
-from .metric import DistanceMatrix, _check_exponent, _in_slices, _minor_sum_bounds, pair_weights
+from .metric import DistanceMatrix, _check_exponent, _in_slices, _minor_sum_bounds, _symmetric_from_pairs
 from .sampling import (
     CHUNK_TRIALS,
     MATRIX_MODES,
     _orthonormalize_triples,
-    _symmetric_from_pairs,
     distance_matrices_batch,
     pair_weights_batch,
     states_batch,
@@ -247,15 +247,15 @@ def _xyz(states, local: int) -> dict:
 
 
 def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
-    """Distance matrices (drawn, or the user's broadcast) and three state rows."""
+    """Distance matrices as (count, C(n,2)) pair values (drawn, or the user's broadcast) and three state rows."""
     rng = trial_rng(cfg.seed, chunk)
     n = cfg.n
     if entries is None:
-        mats = distance_matrices_batch(rng, count, n, cfg.matrix_mode)
+        pairs = distance_matrices_batch(rng, count, n, cfg.matrix_mode)
     else:
-        mats = np.broadcast_to(entries, (count, n, n))
+        pairs = np.broadcast_to(entries[pair_indices(n)], (count, math.comb(n, 2)))
     x, y, z = (states_batch(rng, count, n) for _ in range(3))
-    return mats, x, y, z
+    return pairs, x, y, z
 
 
 # Pair count C(n,2) from which a triangle chunk screens its rows before the
@@ -267,7 +267,7 @@ def _matrix_triple_batch(cfg: TrialConfig, entries, chunk: int, count: int):
 _SCREEN_MIN_PAIRS = 36
 
 
-def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
+def _triangle_candidates(cfg: TrialConfig, entries, pairs, variants):
     """(rows, hi): the rows the exact kernel must evaluate, and every row's upper bound on its defect.
 
     Every row gets a certified interval around the defect the exact kernel
@@ -280,7 +280,7 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
     on the same side of -tolerance as its exact defect.
     """
     n, p, tol = cfg.n, cfg.p, cfg.tolerance
-    count, width = len(mats), 9 * len(variants) * n  # (a, Re c, Im c) rows per pair
+    count, width = len(pairs), 9 * len(variants) * n  # (a, Re c, Im c) rows per pair
 
     def bounds(w, *rows):  # the pairs (x, y), (x, z), (y, z) of every variant
         triples = [rows[i : i + 3] for i in range(0, len(rows), 3)]
@@ -290,8 +290,10 @@ def _triangle_candidates(cfg: TrialConfig, entries, mats, variants):
 
     states = [s for triple in variants for s in triple]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end makes a candidate
-        if entries is None:
-            lo, hi = _in_slices(lambda m, *rows: bounds(m**p, *rows), n * n + width, mats, *states)
+        if entries is None:  # a slice's pair values raised to p, then expanded
+            lo, hi = _in_slices(
+                lambda w, *s: bounds(_symmetric_from_pairs(w**p, n), *s), n * n + width, pairs, *states
+            )
         else:
             lo, hi = _in_slices(partial(bounds, entries**p), width, *states)
         lo, hi = _triangle_bounds(lo.reshape(count, -1, 3), hi.reshape(count, -1, 3), p)
@@ -319,12 +321,12 @@ def _triangle_variants(x, y, z) -> list:
 
 def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
     n, p = cfg.n, cfg.p
-    mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
+    pairs, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     variants = _triangle_variants(x, y, z)
     rows, hi = slice(None), np.empty(count)
     if math.comb(n, 2) >= _SCREEN_MIN_PAIRS:
-        rows, hi = _triangle_candidates(cfg, entries, mats, variants)
-    wts = pair_weights(mats[rows], p)
+        rows, hi = _triangle_candidates(cfg, entries, pairs, variants)
+    wts = pairs[rows] ** p
 
     def kernel(wt, a, b, c):
         slack, dmax, d = _triangle_rows(wt, p, a, b, c)
@@ -340,7 +342,7 @@ def _chunk_triangle(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[
             "variant": ("raw", "orthonormal")[k],
             "n": n,
             "p": float(p),
-            "matrix": _m2l(mats[local]),
+            "matrix": _m2l(_symmetric_from_pairs(pairs[local], n)),
             **_xyz(variants[k], local),
             "distances": [float(d) for d in dists[k][sub]],
         }
@@ -438,21 +440,21 @@ def _reduction_defect(hodge_residual, mu_residual, spectral_margin, fuzz_ok, tol
 
 
 def _chunk_reduction(cfg: TrialConfig, entries, chunk: int, count: int) -> tuple[int, dict]:
-    mats, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
+    pairs, x, y, z = _matrix_triple_batch(cfg, entries, chunk, count)
     stream = _REDUCTION_STREAM_BASE + chunk
     draws = trial_rng(cfg.seed, stream).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
 
     def kernel(wts, x, y, z, draws):
         return _reduction_rows(wts, cfg.p, x, y, z, draws, cfg.tolerance)
 
-    rows = _in_slices(kernel, math.comb(cfg.n, 2), pair_weights(mats, cfg.p), x, y, z, draws)
+    rows = _in_slices(kernel, math.comb(cfg.n, 2), pairs**cfg.p, x, y, z, draws)
 
     def fields(local):
         rep = _reduction_report(rows, local, cfg.tolerance)
         return {
             "n": cfg.n,
             "p": float(cfg.p),
-            "matrix": _m2l(mats[local]),
+            "matrix": _m2l(_symmetric_from_pairs(pairs[local], cfg.n)),
             **_xyz((x, y, z), local),
             "inner_seed": int(cfg.seed),
             "inner_stream": stream,
@@ -490,6 +492,16 @@ PROPERTIES = tuple(_TABLE)
 _KERNELS = {prop: row.chunk for prop, row in _TABLE.items()}
 
 
+def _in_window(pool, run, counts, window: int):
+    """``run(c, counts[c])`` on ``pool`` in chunk order, with at most ``window`` chunks submitted and not yet taken."""
+    pending = deque()
+    for c, count in enumerate(counts):
+        pending.append(pool.submit(run, c, count))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    yield from (future.result() for future in pending)
+
+
 def run_fuzz(
     prop: str,
     cfg: TrialConfig,
@@ -506,10 +518,11 @@ def run_fuzz(
 
     start = time.perf_counter()
     workers = min(thread_count(threads), len(counts))
-    # chunk results are merged in chunk order as they arrive, each dropped once merged
+    # chunk results are merged in chunk order as they arrive, each dropped once merged; two
+    # chunks per worker in flight keep the workers busy and memory flat in the trial count
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            violations, witness = reduce(_merge, pool.map(run, range(len(counts)), counts))
+            violations, witness = reduce(_merge, _in_window(pool, run, counts, 2 * workers))
     else:
         violations, witness = reduce(_merge, (run(c, count) for c, count in enumerate(counts)))
     elapsed_ms = (time.perf_counter() - start) * 1000.0

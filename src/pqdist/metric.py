@@ -213,20 +213,26 @@ def shortest_path_closure(w) -> np.ndarray:
     if d.diagonal(0, -2, -1).any():
         raise ValueError("weights must have a zero diagonal")
     n = d.shape[-1]  # below three points the weights are already closed
-    return d if n < 3 else _pair_closure(d[(..., *pair_indices(n))], n)
+    return d if n < 3 else _symmetric_from_pairs(_pair_closure(d[(..., *pair_indices(n))], n), n)
+
+
+def _symmetric_from_pairs(w: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric zero-diagonal n x n matrices (C-contiguous) from values over lexicographic pairs (last axis)."""
+    # one take; the -1 of pair_positions' diagonal picks the zero appended to the pairs
+    return np.concatenate([w, np.zeros(w.shape[:-1] + (1,))], axis=-1).take(pair_positions(n), axis=-1)
 
 
 @lru_cache(maxsize=None)
 def _diagonal_slots(n: int):
-    """(rows, pairs) of ``_pair_closure``: rows[k, t] is the slot of entry (k, t mod n), pairs[s] slot s's pair."""
+    """(rows, pairs, slots) of ``_pair_closure``: rows[k, t] is entry (k, t mod n)'s slot, pairs[s] slot s's pair."""
     m, i = n // 2, np.arange(n)
     d = (i - i[:, None]) % n  # entry (i, j) lies on wrapped diagonal (j - i) mod n
     full = np.where(d == 0, m * n, np.where(d <= m, (d - 1) * n + i[:, None], (n - d - 1) * n + i))
-    return np.tile(full, 2), pair_positions(n)[i, (i + np.arange(1, m + 1)[:, None]) % n].ravel()
+    return np.tile(full, 2), pair_positions(n)[i, (i + np.arange(1, m + 1)[:, None]) % n].ravel(), full[pair_indices(n)]
 
 
 def _pair_closure(w: np.ndarray, n: int) -> np.ndarray:
-    """Floyd-Warshall closure (..., n, n) of symmetric zero-diagonal matrices from their pair values (..., C(n,2)).
+    """Floyd-Warshall closure, in place, of symmetric zero-diagonal matrices' C-contiguous pair values (..., C(n,2)).
 
     Blocks of matrices are stored by wrapped diagonals, the block innermost:
     slot (d-1) n + i, d = 1..n//2, holds entry (i, (i+d) mod n), so a pair
@@ -237,9 +243,8 @@ def _pair_closure(w: np.ndarray, n: int) -> np.ndarray:
     d_kk = 0 adds exactly), so the bits match any layout or block.  A block's
     slots and temporary hold 4 _BUDGET elements (512 draws at n = 32: 15 ms, 17-20 ms with 2).
     """
-    (rows, pairs), m, step = _diagonal_slots(n), n // 2, _slice_rows(n * n // 4)
+    (rows, pairs, slots), m, step = _diagonal_slots(n), n // 2, _slice_rows(n * n // 4)
     flat = w.reshape(-1, w.shape[-1])
-    out = np.empty((len(flat), n, n))
     for s in range(0, len(flat), step):
         block = flat[s : s + step]
         c, r, t = np.empty((m * n + 1, len(block))), np.empty((2 * n, len(block))), np.empty((m, n, len(block)))
@@ -250,8 +255,8 @@ def _pair_closure(w: np.ndarray, n: int) -> np.ndarray:
             c.take(rows[k], axis=0, out=r, mode="clip")
             np.add(u, v, out=t)
             np.minimum(cv, t, out=cv)
-        c.T.take(rows[:, :n], axis=1, out=out[s : s + len(block)], mode="clip")
-    return out.reshape(w.shape[:-1] + (n, n))
+        block[...] = c[slots].T  # slots[q]: a slot of pair q
+    return w
 
 
 @dataclass(frozen=True)

@@ -4,18 +4,18 @@ Randomness is organized as counter-based streams: ``trial_rng(seed, stream)``
 builds an independent Philox generator keyed by the pair, so work can be
 split across chunks/threads while staying bit-reproducible for a fixed seed.
 Campaigns key streams by blocks of ``CHUNK_TRIALS`` trials, and draw each
-kind of value for a whole block in one call, one row per trial.  A generator
-fills an array in order, so row t of a block equals row t of every block of
-at least t + 1 rows from the same stream: one trial replays by drawing rows
-0..t and keeping the last.
+kind of value for a whole block in one call, one row per trial; a distance
+matrix row is its C(n,2) pair values.  A generator fills an array in order,
+so row t of a block equals row t of every block of at least t + 1 rows from
+the same stream: one trial replays by drawing rows 0..t and keeping the last.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exterior import pair_positions
-from .metric import DistanceMatrix, _in_slices, _pair_closure
+from .exterior import pair_indices
+from .metric import DistanceMatrix, _pair_closure, _slice_rows, _symmetric_from_pairs
 
 __all__ = [
     "MATRIX_MODES",
@@ -65,47 +65,38 @@ def sample_distance_matrix(n: int, mode: str, rng: np.random.Generator) -> Dista
     zero-one:         entries in {1, 2} from a random pair subset (two-valued
                       matrices always satisfy the triangle inequality).
     """
-    return DistanceMatrix.from_array(distance_matrices_batch(rng, 1, n, mode)[0])
+    return DistanceMatrix.from_array(_symmetric_from_pairs(distance_matrices_batch(rng, 1, n, mode)[0], n))
 
 
 def distance_matrices_batch(rng: np.random.Generator, count: int, n: int, mode: str) -> np.ndarray:
-    """``count`` random distance matrices, drawn as in ``sample_distance_matrix``.
+    """``count`` random distance matrices drawn as in ``sample_distance_matrix``, as (count, C(n,2))
+    pair values in ``pair_indices`` order (``metric._symmetric_from_pairs`` expands them).
 
-    Euclidean distances are formed in row slices of ``metric._slice_rows(n * n)``
-    matrices, one coordinate at a time: the squared x, y and z differences
-    are added into one (rows, n, n) buffer, left to right as numpy sums a
-    length-3 axis, so no (rows, n, n, 3) difference array is built.  Repaired
-    weights are closed from their pair values (``metric._pair_closure``).
+    A Euclidean pair (i, j) is the root of the squared x, y and z differences c_i - c_j added
+    to 0 in that order, over slices of ``metric._slice_rows(C(n,2))`` draws.  Repaired weights
+    are closed in place (``metric._pair_closure``).
     """
     if n < 2:
         raise ValueError("distance matrices need size >= 2")
     if mode == "euclidean-points":
-
-        def distances(pts):
-            out = np.zeros((len(pts), n, n))
-            diff = np.empty_like(out)
-            for c in np.moveaxis(pts, -1, 0):
-                out += np.square(np.subtract(c[:, :, None], c[:, None, :], out=diff), out=diff)
-            return np.sqrt(out, out=out)
-
-        return _in_slices(distances, n * n, rng.random((count, n, 3)))
+        (i, j), step = pair_indices(n), _slice_rows(n * (n - 1) // 2)
+        pts, out = rng.random((count, n, 3)), np.zeros((count, len(i)))
+        for s in range(0, count, step):
+            for c in np.moveaxis(pts[s : s + step], -1, 0):
+                out[s : s + step] += np.square(c[:, i] - c[:, j])
+        return np.sqrt(out, out=out)
     npairs = n * (n - 1) // 2
     if mode == "repaired-random":
-        return _pair_closure(1.0 - rng.random((count, npairs)), n)  # uniform on (0, 1], then closed
+        u = rng.random((count, npairs))
+        return _pair_closure(np.subtract(1.0, u, out=u), n)  # uniform on (0, 1], then closed
     if mode == "zero-one":
-        return _symmetric_from_pairs(np.where(rng.random((count, npairs)) < 0.5, 1.0, 2.0), n)
+        return np.where(rng.random((count, npairs)) < 0.5, 1.0, 2.0)
     raise ValueError(f"unknown matrix mode {mode!r}; expected one of {MATRIX_MODES}")
 
 
 def sample_symmetric_weights(n: int, rng: np.random.Generator, mode: str = "uniform") -> np.ndarray:
     """Symmetric nonnegative weight matrix with zero diagonal."""
     return _symmetric_from_pairs(pair_weights_batch(rng, 1, n, mode)[0], n)
-
-
-def _symmetric_from_pairs(w: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric zero-diagonal n x n matrices from values over lexicographic pairs (last axis)."""
-    # one gather; the -1 of pair_positions' diagonal picks the zero appended to the pairs
-    return np.concatenate([w, np.zeros(w.shape[:-1] + (1,))], axis=-1)[..., pair_positions(n)]
 
 
 def pair_weights_batch(rng: np.random.Generator, count: int, n: int, mode: str) -> np.ndarray:

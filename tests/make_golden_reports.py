@@ -28,7 +28,7 @@ import numpy as np
 
 from pqdist.fuzz import TrialConfig, run_fuzz
 from pqdist.metric import DistanceMatrix
-from pqdist.sampling import distance_matrices_batch, trial_rng
+from pqdist.sampling import _symmetric_from_pairs, distance_matrices_batch, trial_rng
 
 CORPUS = Path(__file__).with_name("golden_reports.json")
 
@@ -37,7 +37,8 @@ _MODES = ("euclidean-points", "repaired-random", "zero-one", "user-supplied")
 
 def _matrix(n: int) -> list:
     """A fixed distance matrix for user-supplied campaigns: a seeded shortest-path-closed draw."""
-    return distance_matrices_batch(trial_rng(1000 + n, 0), 1, n, "repaired-random")[0].tolist()
+    pairs = distance_matrices_batch(trial_rng(1000 + n, 0), 1, n, "repaired-random")
+    return _symmetric_from_pairs(pairs, n)[0].tolist()
 
 
 def campaigns() -> list[dict]:

@@ -537,7 +537,7 @@ class TestOrthonormalReduction:
         # a negative tolerance asks for a margin, so some rows fail and some pass
         rng = trial_rng(60 + n)
         count = 200
-        wts = pair_weights(distance_matrices_batch(rng, count, n, "repaired-random"), p)
+        wts = distance_matrices_batch(rng, count, n, "repaired-random") ** p  # pair values
         x, y, z = (states_batch(rng, count, n) for _ in range(3))
         draws = trial_rng(5).standard_normal((count, 16, 2, 3, 3))
         # the per-sample loop the kernel ran before its one product, on frames built as it builds them
@@ -588,7 +588,7 @@ def _kernel_case(name, n, count):
     x, y, z = (states_batch(rng, count, n) for _ in range(3))
     u, v, w, _ = _orthonormalize_triples(x, y, z)
     a = pair_weights_batch(rng, count, n, "uniform")
-    wts = pair_weights(distance_matrices_batch(rng, count, n, "euclidean-points"), 2.5)
+    wts = distance_matrices_batch(rng, count, n, "euclidean-points") ** 2.5  # pair values
     if name == "triangle":
         return lambda s: _triangle_rows(wts[s], 2.5, x[s], y[s], z[s])
     if name == "minorial":

@@ -122,21 +122,23 @@ def _w(trial, defect):
 
 class TestCampaignReduction:
     def test_campaign_holds_one_witness(self, monkeypatch):
-        # each chunk's result is merged and dropped before the next chunk runs, so
-        # 64 one-MiB witnesses never coexist.  One thread only: a pool submits every
-        # chunk at once, and a trivial chunk can finish before its result is merged.
+        # each chunk's result is merged and dropped as it arrives, so 64 one-MiB
+        # witnesses never coexist.  A pool keeps a few chunks per worker in flight,
+        # so trivial chunks that finish before they are merged cannot pile up either.
         def chunk(cfg, entries, c, count):
             return 1, {"trial": c * CHUNK_TRIALS, "defect": 0.0, "blob": bytearray(1 << 20)}
 
         monkeypatch.setitem(fuzz._KERNELS, "triangle", chunk)
-        tracemalloc.start()
-        try:
-            rep = run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=64 * CHUNK_TRIALS, seed=0), threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (rep.violations, rep.witness["trial"]) == (64, 0)
-        assert peak < 8 * 2**20
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                cfg = TrialConfig(n=4, p=2.0, trials=64 * CHUNK_TRIALS, seed=0)
+                rep = run_fuzz("triangle", cfg, threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (rep.violations, rep.witness["trial"]) == (64, 0)
+            assert peak < 8 * 2**20, threads
 
     def test_merge_prefers_the_smaller_trial_on_equal_defects(self):
         early, late = _w(5, -1.0), _w(600, -1.0)
@@ -277,15 +279,16 @@ class TestAllProperties:
         cfg = TrialConfig(n=4, p=2.5, trials=2 * CHUNK_TRIALS + 76, seed=9)
         for chunk, row in ((0, 0), (1, CHUNK_TRIALS - 1), (2, 75)):
             count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
-            mats, x, y, z = fuzz._matrix_triple_batch(cfg, None, chunk, count)
+            pairs, x, y, z = fuzz._matrix_triple_batch(cfg, None, chunk, count)
             stream = fuzz._REDUCTION_STREAM_BASE + chunk
             draws = fuzz.trial_rng(cfg.seed, stream).standard_normal((count, SUBSPACE_SAMPLES, 2, 3, 3))
-            rows = _reduction_rows(pair_weights(mats, cfg.p), cfg.p, x, y, z, draws, cfg.tolerance)
+            rows = _reduction_rows(pairs**cfg.p, cfg.p, x, y, z, draws, cfg.tolerance)
             defects = fuzz._reduction_defect(*rows[1:], cfg.tolerance)
 
             def witness(t):
                 return {
-                    "p": cfg.p, "matrix": _m2l(mats[t]), "x": _c2l(x[t]), "y": _c2l(y[t]), "z": _c2l(z[t]),
+                    "p": cfg.p, "matrix": _m2l(_symmetric_from_pairs(pairs[t], cfg.n)),
+                    "x": _c2l(x[t]), "y": _c2l(y[t]), "z": _c2l(z[t]),
                     "inner_seed": cfg.seed, "inner_stream": stream, "inner_row": t, "tolerance": cfg.tolerance,
                 }  # fmt: skip
 
@@ -364,7 +367,7 @@ class TestKernelSlices:
 
     @pytest.mark.parametrize(
         "prop,n,mib",
-        [("minorial", 32, 16), ("w1", 32, 16), ("triangle", 64, 48)],
+        [("minorial", 32, 16), ("w1", 32, 16), ("triangle", 64, 16)],
     )
     def test_chunk_memory_stays_small(self, prop, n, mib):
         # a chunk's temporaries are bounded by the slice budget, not by
@@ -373,6 +376,21 @@ class TestKernelSlices:
         tracemalloc.start()
         try:
             _KERNELS[prop](cfg, None, 0, CHUNK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
+
+    @pytest.mark.parametrize(
+        "mode,n,mib", [("zero-one", 64, 16), ("repaired-random", 64, 16), ("repaired-random", 32, 6)]
+    )
+    def test_drawn_matrices_stay_pair_values(self, mode, n, mib):
+        # a chunk holds its draws as C(n,2) pair values, never as (512, n, n) stacks; the
+        # euclidean-points draw at n = 64 is test_chunk_memory_stays_small's triangle case
+        cfg = TrialConfig(n=n, p=2.5, trials=CHUNK_TRIALS, seed=1, matrix_mode=mode)
+        tracemalloc.start()
+        try:
+            _KERNELS["triangle"](cfg, None, 0, CHUNK_TRIALS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,6 +471,12 @@ def _adversarial_rows(n, count, seed, huge=False, planar=8):
     return mats, x, y, z
 
 
+def _chunk_pairs(mats, entries):
+    """The pair values ``fuzz._matrix_triple_batch`` hands a chunk: the drawn ones, or the fixed matrix's broadcast."""
+    i, j = np.triu_indices(mats.shape[-1], 1)
+    return mats[:, i, j] if entries is None else np.broadcast_to(entries[i, j], (len(mats), len(i)))
+
+
 def _exact_outcome(cfg, mats, x, y, z):
     """(violations, worst, trial, witness) of chunk 0 with the exact kernel on every row.
 
@@ -517,12 +541,13 @@ class TestTriangleScreen:
             entries = mats[5] if huge else mats[1]
             mats = np.broadcast_to(entries, mats.shape)
         cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
-        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
+        pairs = _chunk_pairs(mats, entries)
+        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (pairs, x, y, z))
         got_violations, got = fuzz._chunk_triangle(cfg, entries, 0, count)
         violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
         assert (got_violations, got["trial"]) == (violations, trial)
         assert json.dumps([got["defect"], got]) == json.dumps([worst, witness])
-        rows, hi = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
+        rows, hi = fuzz._triangle_candidates(cfg, entries, pairs, fuzz._triangle_variants(x, y, z))
         screened = np.count_nonzero(np.delete(hi, rows) < -cfg.tolerance)
         assert set(rows) >= {trial}
         if p < 2:  # two-coordinate triples break the inequality, most decided by the screen alone
@@ -543,7 +568,8 @@ class TestTriangleScreen:
             entries = mats[5] if huge else mats[1]
             mats = np.broadcast_to(entries, mats.shape)
         cfg = TrialConfig(n=n, p=p, trials=count, seed=0, matrix_mode="user-supplied" if fixed else "repaired-random")
-        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (mats, x, y, z))
+        pairs = _chunk_pairs(mats, entries)
+        monkeypatch.setattr(fuzz, "_matrix_triple_batch", lambda *args: (pairs, x, y, z))
         got_violations, got = fuzz._chunk_triangle(cfg, entries, 0, count)
         violations, worst, trial, witness = _exact_outcome(cfg, mats, x, y, z)
         assert (got_violations, got["trial"]) == (violations, trial)
@@ -559,8 +585,8 @@ class TestTriangleScreen:
     )
     def test_random_chunk_leaves_one_candidate(self, cfg, fixed):
         entries = np.asarray(_adversarial_rows(cfg.n, 2, seed=4)[0][1]) if fixed else None
-        mats, x, y, z = fuzz._matrix_triple_batch(cfg, entries, 0, cfg.trials)
-        rows, hi = fuzz._triangle_candidates(cfg, entries, mats, fuzz._triangle_variants(x, y, z))
+        pairs, x, y, z = fuzz._matrix_triple_batch(cfg, entries, 0, cfg.trials)
+        rows, hi = fuzz._triangle_candidates(cfg, entries, pairs, fuzz._triangle_variants(x, y, z))
         assert len(rows) == 1 and np.count_nonzero(np.delete(hi, rows) < -cfg.tolerance) == 0
 
     @pytest.mark.parametrize("n,p,huge,fixed", _SCREEN_CASES)

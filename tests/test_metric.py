@@ -10,6 +10,7 @@ from pqdist.metric import (
     DistanceMatrixError,
     DpMetric,
     _dp_inputs,
+    _pair_closure,
     _restricted_form_rows,
     _slice_rows,
     d2,
@@ -543,7 +544,26 @@ class TestWrappedDiagonalClosure:
         i, j = np.triu_indices(n, 1)
         full[:, i, j] = full[:, j, i] = w
         for k in range(64):
-            assert np.array_equal(d[k], closure_loop(full[k]))
+            assert np.array_equal(d[k], closure_loop(full[k])[i, j])
+
+    def test_closes_its_pair_values_in_place(self, rng):
+        # the closure writes each block back into its input and returns it: it holds one
+        # block's slots and temporaries, not a (count, n, n) result
+        n, count = 32, 2048
+        full = symmetric_weights(rng, count, n)
+        i, j = np.triu_indices(n, 1)
+        w = np.ascontiguousarray(full[:, i, j])
+        tracemalloc.start()
+        try:
+            got = _pair_closure(w, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is w
+        step = _slice_rows(n * n // 4)
+        for k in (0, 1, step - 1, step, count - 1):
+            assert np.array_equal(w[k], closure_loop(full[k])[i, j])
+        assert peak < w.nbytes // 2
 
     def test_empty_stack(self):
         assert shortest_path_closure(np.zeros((0, 5, 5))).shape == (0, 5, 5)
