@@ -41,15 +41,23 @@ def _matrix(n: int) -> list:
     return _symmetric_from_pairs(pairs, n)[0].tolist()
 
 
+def _graded_matrix() -> list:
+    """A fixed n = 6 distance matrix with entries from 1e-3 to 1: sqrt |s_i - s_j| over points s on
+    a line, the square root of a metric, so every triangle inequality holds strictly."""
+    s = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-2, 1.0])
+    return np.sqrt(np.abs(s[:, None] - s)).tolist()
+
+
 def campaigns() -> list[dict]:
-    """About sixty campaigns: every property, n from 2 to 16 (screened triangle chunks from
-    n = 9), the four matrix modes and p in {1.5, 2, 2.5, 10}, with trial counts that end
+    """About sixty campaigns: every property, n from 2 to 32 (screened triangle chunks from
+    n = 9), the four matrix modes and p in {1.5, 2, 2.5, 10, 20}, with trial counts that end
     in a partial chunk.  Each campaign names its own seed, so adding one reseeds no other."""
     out = []
 
-    def add(prop, n, p, trials, mode, seed):
+    def add(prop, n, p, trials, mode, seed, matrix=None):
         cfg = TrialConfig(n=n, p=p, trials=trials, seed=seed, matrix_mode=mode)
-        matrix = _matrix(n) if mode == "user-supplied" else None
+        if mode == "user-supplied" and matrix is None:
+            matrix = _matrix(n)
         out.append({"property": prop, "config": cfg.to_dict(), "matrix": matrix})
 
     for i, n in enumerate((2, 3, 4, 6, 9, 16)):
@@ -65,6 +73,10 @@ def campaigns() -> list[dict]:
             add(prop, n, ps[i % len(ps)], trials, _MODES[i % 3], seed=35 + 6 * k + i)
     # two full chunks and a partial one, whose trial 1069 (chunk 2, row 45) is the witness
     add("reduction", 4, 3.0, 1200, "repaired-random", seed=59)
+    # reduction campaigns at n = 32, and on graded entries whose 20th powers span 60 decades
+    add("reduction", 32, 2.0, 200, "euclidean-points", seed=60)
+    add("reduction", 32, 3.0, 200, "repaired-random", seed=61)
+    add("reduction", 6, 20.0, 600, "user-supplied", seed=62, matrix=_graded_matrix())
     seeds = [e["config"]["seed"] for e in out]
     assert len(set(seeds)) == len(seeds), "every campaign needs its own seed"
     return out
