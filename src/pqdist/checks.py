@@ -24,6 +24,7 @@ from .exterior import (
     _bivector_and_vector,
     _hodge_frame,
     _minors3,
+    _pair_gather,
     _row_sums,
     _vectors,
     _wedge_basis,
@@ -164,9 +165,10 @@ def _triangle_bounds(lo: np.ndarray, hi: np.ndarray, p: float):
     r = 1.0 / p
     d_lo = np.maximum(np.maximum(lo, 0.0) ** r * (1.0 - _ROUND_WIDEN) - _TINY, 0.0)
     d_hi = np.maximum(hi, 0.0) ** r * (1.0 + _ROUND_WIDEN) + _TINY
-    top_lo, top_hi = d_lo.max(axis=-1), d_hi.max(axis=-1)
-    slack_lo = d_lo.sum(axis=-1) - 2.0 * top_hi
-    slack_hi = d_hi.sum(axis=-1) - 2.0 * top_lo
+    d_lo, d_hi = np.moveaxis(d_lo, -1, 0), np.moveaxis(d_hi, -1, 0)  # numpy reduces a short last axis slowly
+    top_lo, top_hi = _fvalue("max", d_lo), _fvalue("max", d_hi)
+    slack_lo = _fvalue("sum", d_lo) - 2.0 * top_hi
+    slack_hi = _fvalue("sum", d_hi) - 2.0 * top_lo
     m_lo, m_hi = np.maximum(1.0, top_lo), np.maximum(1.0, top_hi)
     return np.minimum(slack_lo / m_lo, slack_lo / m_hi), np.maximum(slack_hi / m_lo, slack_hi / m_hi)
 
@@ -347,6 +349,47 @@ def check_orthonormal_reduction(
     return _reduction_report(_reduction_rows(wts[None], p, xv[None], yv[None], zv[None], draws[-1:], tol), 0, tol)
 
 
+def _subspace_sum_bounds(wts: np.ndarray, v: np.ndarray, w: np.ndarray, frames: np.ndarray):
+    """Intervals (lo, hi) (count, samples, 3) around the minor sums the judge of ``_reduction_rows`` computes.
+
+    A sample's frame F (count, samples, 3, 3) has rows f_a over the basis rows
+    v (count, 3, n), and the judge sums the pair-weighted squared minors of
+    (f_0 v, f_1 v), (f_0 v, f_2 v) and (f_1 v, f_2 v) in C^n.  The wedge of
+    a v and b v is g = a x b over the wedge basis W = ``w`` of v, so each sum
+    is g^H H g with H = conj(W) diag(E^p) W^T, formed once per row: the
+    (count, samples) components of g and six products per sum instead of
+    C(n,2) minors.
+
+    Radius in units of u = 2^-53 and Q = sum_{i<j} E_ij^p rho_i rho_j, with
+    rho_i = sum_b |v_bi|^2 (first-order bounds, as ``metric._minor_sum_radius``;
+    |f_a| = 1 up to rounding).  With T = F v exact, |T_ai|^2 <= rho_i and
+    sum_c |W_cij|^2 <= rho_i rho_j, so every exact sum is at most Q.  The
+    judge's product errs by 6u sum_b |F_ab||v_bi| per entry, which moves a
+    sum's square root (a weighted norm of the wedge) by 24u sqrt(Q), so the
+    sum by 48u Q; its ``_minor_sums`` add (2 C(n,2) + 22)u a^T W b, with
+    a^T W b <= 2Q.  The screen's minors of W and components of g (4u per
+    entry) and its six-term form (11u) cost 12u Q each, and H's sums
+    (2 C(n,2) + 4)u Q.  Doubling the (6 C(n,2) + 132)u Q covers second-order
+    terms and a computed Q below the exact one.  Fewer than 128 n^2 roundings
+    per sum can underflow, each by 2^-1075 times factors below
+    4 (1 + sum E^p); the absolute term is over twice that, and it is infinite
+    (so the sample goes to the judge) wherever a judge's sum can overflow.
+    """
+    n, k = v.shape[-1], wts.shape[-1]
+    h = np.matmul(np.conj(w) * wts[:, None, :], w.swapaxes(-1, -2))[:, :, :, None]
+    rho = _sq(v).sum(axis=-2)[:, _pair_gather(n)]
+    q = (wts * rho[:, :k] * rho[:, k:]).sum(axis=-1)
+    radius = 12 * (k + 22) * 2.0**-53 * q + np.ldexp(float(n * n), -1065) * (1.0 + 8.0 * wts.sum(axis=-1))
+    f = frames.transpose(2, 3, 0, 1)  # f[a, b]: component b of row a of every sample's frame
+    sums = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        g = [f[a, c] * f[b, d] - f[a, d] * f[b, c] for c, d in ((1, 2), (2, 0), (0, 1))]
+        s = sum(h[:, c, c].real * _sq(g[c]) for c in range(3))
+        sums.append(s + 2.0 * sum((np.conj(g[c]) * h[:, c, d] * g[d]).real for c, d in ((0, 1), (0, 2), (1, 2))))
+    s, r = np.stack(sums, axis=-1), radius[:, None, None]
+    return s - r, s + r
+
+
 def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: float):
     """Reduction kernel over pair weights E_ij^p (count, n(n-1)/2), states (count, n) and subspace draws.
 
@@ -359,13 +402,21 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     spectral margin and whether every subspace sample kept the triangle
     inequality within ``tol``; a sample whose draw is degenerate (its frame
     is flagged by the Gram-Schmidt) counts as failed.  The frames are built
-    in the memory of ``draws``, which the call overwrites.  One product maps
-    every sample's frame into V; it holds a (count, 3 samples, n) complex
-    array, at most about 3.4 MB because a slice's rows shrink with C(n, 2).
+    in the memory of ``draws``, which the call overwrites.
+
+    The samples are screened in V: ``_subspace_sum_bounds`` and
+    ``_triangle_bounds`` bound each sample's normalized defect, and the
+    judge's decision slack >= -tol max(1, dmax) rounds that defect and the
+    threshold by u each, so an interval that clears -tol by
+    2u (|lo| + |hi| + |tol|) decides its sample.  The judge (one
+    (rows, 48, 3) @ (rows, 3, n) product mapping the frames into C^n, and
+    ``_triangle_rows`` per sample) runs only on rows with no sample decided
+    to fail and some sample open (a non-finite end is open).
     """
     q, _ = np.linalg.qr(np.stack([x, y, z], axis=-1))
     v = q.swapaxes(-1, -2)
-    mus, u, bs = _restricted_form_rows(wts, v)
+    w = _wedge_basis(v)
+    mus, u, bs = _restricted_form_rows(wts, w)
     frame_wedges = _wedge_basis(_hodge_frame(u, v))
     hodge_residual = np.abs(frame_wedges - bs).max(axis=(-2, -1))
     got = np.sqrt(_row_sums(wts[:, None, :] * _sq(frame_wedges)))
@@ -387,11 +438,17 @@ def _reduction_rows(wts: np.ndarray, p: float, x, y, z, draws: np.ndarray, tol: 
     *vectors, ok = _orthonormalize_triples(cols[:, 0], cols[:, 1], cols[:, 2])
     for a, g in enumerate(vectors):
         cols[:, a] = g
-    fuzz_ok = ok.reshape(count, samples).all(axis=-1)
-    mapped = frames.reshape(count, samples * 3, 3) @ v
-    for s in range(0, samples * 3, 3):
-        slack, dmax, _ = _triangle_rows(wts, p, mapped[:, s], mapped[:, s + 1], mapped[:, s + 2])
-        fuzz_ok &= slack >= -tol * np.maximum(1.0, dmax)  # NaN fails
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite end is open: margin is inf or NaN
+        lo, hi = _triangle_bounds(*_subspace_sum_bounds(wts, v, w, frames), p)
+        margin = 2.0**-52 * (np.abs(lo) + np.abs(hi) + abs(tol))
+        passes, fails = lo > -tol + margin, hi < -tol - margin
+    fuzz_ok = ok.reshape(count, samples).all(axis=-1) & ~fails.any(axis=-1)
+    rows = np.flatnonzero(fuzz_ok & ~passes.all(axis=-1))
+    if rows.size:
+        mapped = frames[rows].reshape(len(rows), samples * 3, 3) @ v[rows]
+        for s in range(0, samples * 3, 3):
+            slack, dmax, _ = _triangle_rows(wts[rows], p, mapped[:, s], mapped[:, s + 1], mapped[:, s + 2])
+            fuzz_ok[rows] &= slack >= -tol * np.maximum(1.0, dmax)  # NaN fails
     return mus, hodge_residual, mu_residual, spectral_margin, fuzz_ok
 
 

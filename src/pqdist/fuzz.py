@@ -34,7 +34,10 @@ in a report.  Its defects overwrite those rows' upper ends, and ``_outcome``
 reduces that column like any other: an upper end below -tolerance is a
 violation, and an upper end left in place is never the worst.  So reports
 keep their bytes, and a random chunk leaves about one row to the kernel
-instead of 512.
+instead of 512.  A reduction chunk screens its 16 subspace samples per row
+the same way, in the 3-space of each triple (``checks._reduction_rows``):
+only a row that some sample's interval leaves open goes to the judge, the
+C^n product and triangle kernel that decided every sample before.
 
 Each property is one row of ``_TABLE``: its chunk, its witness replay, its
 smallest n and whether it reads a distance matrix.  Its defect (nonnegative

@@ -27,7 +27,7 @@ from itertools import islice
 
 import numpy as np
 
-from .exterior import _row_sums, _vectors, _wedge_basis, minors2, pair_indices, pair_positions
+from .exterior import _row_sums, _vectors, minors2, pair_indices, pair_positions
 
 __all__ = [
     "DistanceMatrix",
@@ -411,8 +411,8 @@ def embed(rho: DistanceMatrix, p: float):
     return list(np.eye(rho.n, dtype=complex)), metric
 
 
-def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
-    """Restricted form over the wedge basis W of the orthonormal rows v (..., 3, n).
+def _restricted_form_rows(wts: np.ndarray, w: np.ndarray):
+    """Restricted form over the wedge basis W (..., 3, n(n-1)/2) of orthonormal rows (``exterior._wedge_basis``).
 
     With pair weights E_ij^p in ``wts`` (..., n(n-1)/2), returns the ascending
     sqrt-eigenvalues (..., 3), the unitary U (..., 3, 3) whose rows expand the
@@ -427,7 +427,6 @@ def _restricted_form_rows(wts: np.ndarray, v: np.ndarray):
     vectors, and Householder reductions of a row-graded matrix are accurate
     when its largest rows come first (Cox & Higham, BIT 38, 1998).
     """
-    w = _wedge_basis(v)
     order = np.argsort(-wts, axis=-1, kind="stable")
     b = np.take_along_axis(np.sqrt(wts), order, axis=-1)[..., :, None] * np.take_along_axis(
         w, order[..., None, :], axis=-1

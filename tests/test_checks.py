@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import basis, interior_product
-from pqdist.exterior import Bivector, wedge2, wedge3
+from pqdist.exterior import Bivector, _wedge_basis, pair_positions, wedge2, wedge3
 from pqdist.fileio import _l2c
 from pqdist.fuzz import _REDUCTION_STREAM_BASE, TrialConfig, _reduction_defect, reevaluate_witness, run_fuzz
-from pqdist.metric import dp_from_weights, pair_weights
+from pqdist.metric import _minor_sums, dp_from_weights, pair_weights
+import pqdist.checks
 from pqdist.checks import (
     HODGE_RESIDUAL_TOL,
     MU_CONSISTENCY_TOL,
@@ -18,6 +19,7 @@ from pqdist.checks import (
     _projector_rows,
     _reduction_report,
     _reduction_rows,
+    _subspace_sum_bounds,
     _triangle_rows,
     _w1_rows,
     check_convexity,
@@ -76,7 +78,47 @@ def brute_pair_sum(a, x, y):
     return total
 
 
+def per_sample_oracle(wts, p, x, y, z, draws):
+    """The reduction's subspace samples evaluated one by one in C^n, on frames built as the kernel builds
+    them: (slacks, dmaxes, the three minor sums (count, 16, 3), frame flags (count, 16), frames, basis)."""
+    v = np.linalg.qr(np.stack([x, y, z], axis=-1))[0].swapaxes(-1, -2)
+    cols = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2).reshape(-1, 3, 3)
+    *vectors, ok = _orthonormalize_triples(cols[:, 0], cols[:, 1], cols[:, 2])
+    frames = np.stack(vectors, axis=1).reshape(len(x), 16, 3, 3)
+    slacks, dmaxes, sums = [], [], []
+    for s in range(16):
+        t = frames[:, s] @ v
+        slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
+        slacks.append(slack)
+        dmaxes.append(dmax)
+        sums.append([_minor_sums(wts, t[:, a], t[:, b])[0] for a, b in ((0, 1), (0, 2), (1, 2))])
+    return (np.stack(slacks, 1), np.stack(dmaxes, 1), np.array(sums).transpose(2, 0, 1),
+            ok.reshape(len(x), 16), frames, v)  # fmt: skip
+
+
+def graded_weights(rng, count, n, p):
+    """Pair weights E^p of random entries log-uniform on [1e-3, 1]."""
+    return (10.0 ** rng.uniform(-3.0, 0.0, (count, n * (n - 1) // 2))) ** p
+
+
 class TestOrthonormalGate:
+    def test_rejects_gram_deviation_above_the_gate(self):
+        # a Gram deviation of 1e-6 lies between the gate (1e-8) and 10^4 times it; every
+        # verifier that takes an orthonormal triple must reject it, not polish it
+        e1, e2, e3 = basis(3, 0), basis(3, 1), basis(3, 2)
+        x, y, z = e1, e2 + 1e-6 * e1, e3
+        a = np.ones((3, 3)) - np.eye(3)
+        for check in (
+            lambda: check_minorial(a, x, y, z),
+            lambda: check_convexity("max", a, x, y, z),
+            lambda: check_generator_identity_w1(a, x, y, z),
+            lambda: ensure_orthonormal_triple(x, y, z),
+        ):
+            with pytest.raises(ValueError, match="orthonormal"):
+                check()
+        # the same triple at a deviation of 1e-9 passes the gate
+        assert check_minorial(a, x, e2 + 1e-9 * e1, z).lower >= -1e-12
+
     def test_polish_keeps_good_triples(self):
         rng = trial_rng(0)
         x, y, z = sample_orthonormal_triple(5, rng)
@@ -490,6 +532,15 @@ class TestOrthonormalReduction:
         assert d[agree].tolist() == np.minimum(margin, -tol * residual)[agree].tolist()
         assert d[0] >= -tol and d[3] == -1.5 * tol
 
+    def test_mu_residual_over_its_gate_is_a_violation(self):
+        # hand-made kernel rows: Hodge residual 0, mu residual 1e-7 (between the mu gate,
+        # 1e-9, and 10^4 times it), a passing margin and passing samples
+        tol = 1e-9
+        rows = (np.array([[0.5, 0.7, 1.0]]), np.array([0.0]), np.array([1e-7]), np.array([0.25]), np.array([True]))
+        rep = _reduction_report(rows, 0, tol)
+        assert not rep.mu_consistent and not rep.verdict
+        assert _reduction_defect(*rows[1:], tol)[0] < -tol
+
     @pytest.mark.parametrize(
         "seed,p",
         [pytest.param(s, 7.5, id=str(s)) for s in (28, 1, 2)]
@@ -541,17 +592,80 @@ class TestOrthonormalReduction:
         x, y, z = (states_batch(rng, count, n) for _ in range(3))
         draws = trial_rng(5).standard_normal((count, 16, 2, 3, 3))
         # the per-sample loop the kernel ran before its one product, on frames built as it builds them
-        v = np.linalg.qr(np.stack([x, y, z], axis=-1))[0].swapaxes(-1, -2)
-        cols = (draws[:, :, 0] + 1j * draws[:, :, 1]).swapaxes(-1, -2).reshape(-1, 3, 3)
-        *vectors, ok = _orthonormalize_triples(cols[:, 0], cols[:, 1], cols[:, 2])
-        frames = np.stack(vectors, axis=1).reshape(count, 16, 3, 3)
-        want = ok.reshape(count, 16).all(axis=-1)
-        for s in range(16):
-            t = frames[:, s] @ v
-            slack, dmax, _ = _triangle_rows(wts, p, t[:, 0], t[:, 1], t[:, 2])
-            want &= slack >= -tol * np.maximum(1.0, dmax)
+        slack, dmax, _, ok, _, _ = per_sample_oracle(wts, p, x, y, z, draws)
+        want = ok.all(axis=-1) & (slack >= -tol * np.maximum(1.0, dmax)).all(axis=-1)
         assert tol > 0 or 0 < want.sum() < count
         assert np.array_equal(_reduction_rows(wts, p, x, y, z, draws, tol)[4], want)
+
+    @pytest.mark.parametrize("n", [3, 6, 16])
+    def test_screen_matches_the_judge_at_its_decision(self, n):
+        # rows whose decision lies within rounding of one sample.  The pair weight of
+        # coordinates (1, 2) is 1e-20, V contains e_1 and e_2, and sample 0's first two
+        # frame vectors span them up to 1e-10, so its first minor sum is below 1e-18 while
+        # every product that makes it is of order 1: a screen without its radius puts that
+        # sum anywhere within ~1e-15, which at p = 20 moves the distance by about 2x.
+        # Each row's call takes its tolerance from the oracle's normalized slack of that
+        # sample (its row's smallest), or one ulp beside it, so the judge must decide the
+        # row; both outcomes occur.
+        rng = trial_rng(80 + n)
+        count, p = 24, 20.0
+        wts = rng.uniform(0.5, 1.0, (count, n * (n - 1) // 2)) ** p
+        wts[:, pair_positions(n)[1, 2]] = 1e-20
+        z = states_batch(rng, count, n)
+        x, y = (z * (rng.standard_normal((count, 1)) + 1j) for _ in range(2))
+        x[:, 1:3] += rng.standard_normal((count, 2, 2)) @ np.array([1.0, 1j])
+        y[:, 1:3] += rng.standard_normal((count, 2, 2)) @ np.array([1.0, 1j])
+        v = np.linalg.qr(np.stack([x, y, z], axis=-1))[0].swapaxes(-1, -2)
+        draws = trial_rng(7, n).standard_normal((count, 16, 2, 3, 3))
+        for a, k in ((0, 1), (1, 2)):  # frame column a: the coordinates of e_k over v, nudged by 1e-10
+            col = np.conj(v[:, :, k]) + 1e-10 * (draws[:, 0, 0, :, a] + 1j * draws[:, 0, 1, :, a])
+            draws[:, 0, 0, :, a], draws[:, 0, 1, :, a] = col.real, col.imag
+        slack, dmax, sums, ok, _, _ = per_sample_oracle(wts, p, x, y, z, draws)
+        defect = slack / np.maximum(1.0, dmax)
+        assert ok.all() and (defect.argmin(axis=1) == 0).all() and (sums[:, 0, 0] < 1e-18).all()
+        verdicts = []
+        for t in range(count):
+            tol = -np.nextafter(defect[t, 0], (-np.inf, np.inf)[t % 3 == 2]) if t % 3 else -defect[t, 0]
+            want = bool((slack[t] >= -tol * np.maximum(1.0, dmax[t])).all())
+            row = slice(t, t + 1)
+            got = _reduction_rows(wts[row], p, x[row], y[row], z[row], draws[row].copy(), tol)[4][0]
+            assert got == want, t
+            verdicts.append(want)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 10.0, 20.0])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 16])
+    def test_screen_intervals_contain_the_judges_sums(self, n, p):
+        # graded entries (1e-3 to 1), so at p = 20 the weights span 60 decades
+        rng = trial_rng(90 + n, int(p))
+        count = 64
+        wts = graded_weights(rng, count, n, p)
+        x, y, z = (states_batch(rng, count, n) for _ in range(3))
+        draws = trial_rng(9, n).standard_normal((count, 16, 2, 3, 3))
+        _, _, sums, _, frames, v = per_sample_oracle(wts, p, x, y, z, draws)
+        lo, hi = _subspace_sum_bounds(wts, v, _wedge_basis(v), frames)
+        assert ((lo <= sums) & (sums <= hi)).all()
+        assert (hi - lo <= 1e-9 * (hi + lo)).mean() > 0.9  # the intervals are narrow, too
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_few_samples_reach_the_judge(self, p, monkeypatch):
+        # the screen decides almost every sample of random rows; a fall-back that
+        # judges every sample would send all 512 * 16 of them to the triangle kernel
+        rng = trial_rng(31, int(p))
+        count = 512
+        wts = distance_matrices_batch(rng, count, 6, "euclidean-points") ** p
+        x, y, z = (states_batch(rng, count, 6) for _ in range(3))
+        draws = trial_rng(32).standard_normal((count, 16, 2, 3, 3))
+        judged = []
+
+        def counting(wts, p, *states):
+            judged.append(len(wts))
+            return _triangle_rows(wts, p, *states)
+
+        monkeypatch.setattr(pqdist.checks, "_triangle_rows", counting)
+        ok = _reduction_rows(wts, p, x, y, z, draws, 1e-9)[4]
+        assert ok.all()
+        assert sum(judged) < 0.01 * count * SUBSPACE_SAMPLES
 
 
 class TestTriangleDefect:

@@ -77,7 +77,7 @@ class TestDeterminism:
         b = run_fuzz(prop, cfg, threads=8)
         assert scrubbed(a) == scrubbed(b)
 
-    @pytest.mark.parametrize("n", [3, 4, 6, 9, 16])
+    @pytest.mark.parametrize("n", [3, 4, 6, 9, 16, 32])
     def test_reduction_thread_count_does_not_change_results(self, n):
         # two full chunks and a partial one, each drawing its subspace samples as one block
         cfg = TrialConfig(n=n, p=2.5, trials=2 * CHUNK_TRIALS + 76, seed=n, matrix_mode="repaired-random")

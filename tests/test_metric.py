@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import basis, orthonormal_basis, unit_vector
-from pqdist.exterior import _hodge_frame, wedge2
+from pqdist.exterior import _hodge_frame, _wedge_basis, wedge2
 from pqdist.metric import (
     DistanceMatrix,
     DistanceMatrixError,
@@ -401,7 +401,7 @@ class TestEmbed:
 
 def restricted_form(e, p, v):
     """(mus, U, eigen-bivectors) of the restricted form over the orthonormal rows v (3, n), as a one-row stack."""
-    mus, u, bs = _restricted_form_rows(pair_weights(e, p)[None], np.asarray(v, dtype=complex)[None])
+    mus, u, bs = _restricted_form_rows(pair_weights(e, p)[None], _wedge_basis(np.asarray(v, dtype=complex)[None]))
     return mus[0], u[0], bs[0]
 
 
