@@ -496,7 +496,8 @@ _KERNELS = {prop: row.chunk for prop, row in _TABLE.items()}
 
 
 def _in_window(pool, run, counts, window: int):
-    """``run(c, counts[c])`` on ``pool`` in chunk order, with at most ``window`` chunks submitted and not yet taken."""
+    """``run(c, count)`` for the c-th ``count`` of the iterable ``counts`` on ``pool`` in chunk order,
+    with at most ``window`` chunks submitted and not yet taken."""
     pending = deque()
     for c, count in enumerate(counts):
         pending.append(pool.submit(run, c, count))
@@ -517,10 +518,10 @@ def run_fuzz(
     _validate(prop, cfg, matrix)
     entries = matrix.entries if matrix is not None else None
     run = partial(_KERNELS[prop], cfg, entries)  # (chunk index, row count) -> (violations, witness)
-    counts = [min(CHUNK_TRIALS, cfg.trials - first) for first in range(0, cfg.trials, CHUNK_TRIALS)]
+    counts = (min(CHUNK_TRIALS, cfg.trials - first) for first in range(0, cfg.trials, CHUNK_TRIALS))
 
     start = time.perf_counter()
-    workers = min(thread_count(threads), len(counts))
+    workers = min(thread_count(threads), -(-cfg.trials // CHUNK_TRIALS))
     # chunk results are merged in chunk order as they arrive, each dropped once merged; two
     # chunks per worker in flight keep the workers busy and memory flat in the trial count
     if workers > 1:

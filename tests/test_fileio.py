@@ -50,6 +50,14 @@ def _same_error(path, doc, kind):
     assert str(got.value) == str(want.value)
 
 
+def _n64_report(rng) -> dict:
+    """A triangle campaign report on a user-supplied n = 64 Euclidean matrix, which it echoes."""
+    pts = rng.random((64, 3))
+    m = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    config = {"n": 64, "p": 2.5, "trials": 512, "seed": 5, "matrix_mode": "user-supplied"}
+    return run({"property": "triangle", "config": config, "matrix": m.tolist()}).to_dict()
+
+
 class TestMatrixFiles:
     def test_round_trip_exact(self, tmp_path, rng):
         path = tmp_path / "m.json"
@@ -65,17 +73,26 @@ class TestMatrixFiles:
         with pytest.raises(ValueError, match="declared n=3"):
             fileio.load_matrix(path)
 
-    def test_save_streams_its_rows(self, tmp_path, rng):
-        # rows go to the file one piece at a time: no whole-file string beside the rows' floats
-        m = rng.random((200, 200))
+    @pytest.mark.parametrize(
+        "write, as_dict, make, bound",
+        [
+            # save_matrix builds the n = 200 matrix's float rows (about 1.3 MiB) inside the trace
+            (fileio.save_matrix, fileio.matrix_to_dict, lambda rng: rng.random((200, 200)), 3 * 2**20),
+            (fileio.write_report, dict, _n64_report, 256 * 2**10),  # a 245 KB report
+        ],
+        ids=["matrix", "report"],
+    )
+    def test_save_streams_its_rows(self, tmp_path, rng, write, as_dict, make, bound):
+        # the document goes to the file as json.dump streams it: no whole-file string beside it
+        doc = make(rng)
         tracemalloc.start()
         try:
-            fileio.save_matrix(tmp_path / "m.json", m)
+            write(tmp_path / "out.json", doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "m.json").read_bytes() == _dumped(fileio.matrix_to_dict(m))
-        assert peak < 3 * 2**20
+        assert (tmp_path / "out.json").read_bytes() == _dumped(as_dict(doc))
+        assert peak < bound
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "m.json"

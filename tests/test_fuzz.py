@@ -140,6 +140,21 @@ class TestCampaignReduction:
             assert (rep.violations, rep.witness["trial"]) == (64, 0)
             assert peak < 8 * 2**20, threads
 
+    def test_memory_is_flat_in_the_trial_count(self, monkeypatch):
+        # 32768 chunks: a list of their row counts alone would take 256 KiB
+        def chunk(cfg, entries, c, count):
+            return 0, {"trial": c * CHUNK_TRIALS, "defect": 0.0}
+
+        monkeypatch.setitem(fuzz._KERNELS, "triangle", chunk)
+        tracemalloc.start()
+        try:
+            rep = run_fuzz("triangle", TrialConfig(n=4, p=2.0, trials=2**24, seed=0), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.violations, rep.witness["trial"]) == (0, 0)
+        assert peak < 64 * 2**10
+
     def test_merge_prefers_the_smaller_trial_on_equal_defects(self):
         early, late = _w(5, -1.0), _w(600, -1.0)
         assert fuzz._merge((1, late), (2, early)) == (3, early)
